@@ -1,4 +1,4 @@
-#include "service/flaky.h"
+#include "flaky.h"
 
 #include <chrono>
 #include <thread>

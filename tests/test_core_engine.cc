@@ -141,6 +141,11 @@ struct ChangeCase {
   Snapshot (*change)(Snapshot);
 };
 
+// Prints the case by name, so its test id is the same on every build.
+void PrintTo(const ChangeCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 ChangeCase cases[] = {
     {"ring_cost",
      [] { return topo::make_ring(6); },
@@ -189,9 +194,7 @@ TEST_P(ModeEquivalence, DifferentialEqualsMonolithic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ModeEquivalence, ::testing::ValuesIn(cases),
-                         [](const auto& info) {
-                           return std::string(info.param.name);
-                         });
+                         ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------
 // ... and on randomized change sequences per topology.

@@ -138,6 +138,11 @@ struct ChurnCase {
   const char* rel2;     // optional second binary EDB relation
 };
 
+// Prints the case by name, so its test id is the same on every build.
+void PrintTo(const ChurnCase& churn_case, std::ostream* os) {
+  *os << churn_case.name;
+}
+
 class IncrementalChurn
     : public ::testing::TestWithParam<std::tuple<ChurnCase, int>> {};
 

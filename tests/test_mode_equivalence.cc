@@ -48,9 +48,9 @@ struct SeededCase {
   uint64_t seed;
 };
 
-std::string case_name(const ::testing::TestParamInfo<SeededCase>& info) {
-  return std::string(info.param.topology) + "_seed" +
-         std::to_string(info.param.seed);
+// Prints the case by name, so its test id is the same on every build.
+void PrintTo(const SeededCase& test_case, std::ostream* os) {
+  *os << test_case.topology << "_seed" << test_case.seed;
 }
 
 class SeededModeEquivalence : public ::testing::TestWithParam<SeededCase> {};
@@ -97,7 +97,8 @@ std::vector<SeededCase> seeded_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededModeEquivalence,
-                         ::testing::ValuesIn(seeded_cases()), case_name);
+                         ::testing::ValuesIn(seeded_cases()),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace dna::core

@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/flaky.h"
+#include "flaky.h"
 #include "service/net/server.h"
 #include "service/net/tcp.h"
 #include "service/service.h"
