@@ -2,6 +2,16 @@
 
 namespace dna::cp {
 
+namespace {
+
+/// Whether a routing process turns static routes into its own routes.
+template <typename Process>
+bool redistributes_statics(const Process& process) {
+  return process.enabled && process.redistribute_static;
+}
+
+}  // namespace
+
 ControlPlaneEngine::ControlPlaneEngine(topo::Snapshot snapshot)
     : snap_(std::move(snapshot)) {
   snap_.validate();
@@ -89,23 +99,61 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
     return result;
   }
 
-  sw.reset();
-  std::set<topo::NodeId> ospf_dirty = ospf_.update(target);
-  timers_.add("ospf", sw.elapsed_seconds());
-
-  sw.reset();
-  std::set<topo::NodeId> bgp_dirty =
-      bgp_.update(target, result.config_changes, ospf_dirty);
-  timers_.add("bgp", sw.elapsed_seconds());
-
-  sw.reset();
-  std::set<topo::NodeId> dirty = ospf_dirty;
-  dirty.insert(bgp_dirty.begin(), bgp_dirty.end());
+  // Which stages the change feeds. A node whose only edits are ACLs or ACL
+  // bindings feeds none of them: its FIB stays as it is.
+  bool ospf_input = !result.link_changes.empty();
+  bool bgp_input = ospf_input;
+  std::set<topo::NodeId> dirty;
   for (const auto& change : result.config_changes) {
-    if (target.topology.has_node(change.node)) {
-      dirty.insert(target.topology.node_id(change.node));
+    const topo::NodeId node = target.topology.node_id(change.node);
+    switch (change.kind) {
+      case config::ChangeKind::kAclChanged:
+      case config::ChangeKind::kInterfaceAclBinding:
+        continue;
+      case config::ChangeKind::kStaticRoutesChanged: {
+        const config::NodeConfig& before = snap_.config_of(change.node);
+        const config::NodeConfig& after = target.configs[node];
+        ospf_input = ospf_input || redistributes_statics(before.ospf) ||
+                     redistributes_statics(after.ospf);
+        bgp_input = bgp_input || redistributes_statics(before.bgp) ||
+                    redistributes_statics(after.bgp);
+        break;
+      }
+      case config::ChangeKind::kInterfaceAdded:
+      case config::ChangeKind::kInterfaceRemoved:
+      case config::ChangeKind::kInterfaceModified:
+      case config::ChangeKind::kOspfChanged:
+        ospf_input = bgp_input = true;
+        break;
+      case config::ChangeKind::kBgpProcessChanged:
+      case config::ChangeKind::kBgpNeighborAdded:
+      case config::ChangeKind::kBgpNeighborRemoved:
+      case config::ChangeKind::kBgpNeighborModified:
+      case config::ChangeKind::kPrefixListChanged:
+      case config::ChangeKind::kRouteMapChanged:
+        bgp_input = true;
+        break;
+      case config::ChangeKind::kNodeAdded:
+      case config::ChangeKind::kNodeRemoved:
+        break;  // unreachable: a node-set change rebuilt everything above
     }
+    dirty.insert(node);
   }
+
+  std::set<topo::NodeId> ospf_dirty;
+  if (ospf_input) {
+    sw.reset();
+    ospf_dirty = ospf_.update(target);
+    timers_.add("ospf", sw.elapsed_seconds());
+  }
+  if (bgp_input || !ospf_dirty.empty()) {
+    sw.reset();
+    std::set<topo::NodeId> bgp_dirty =
+        bgp_.update(target, result.config_changes, ospf_dirty);
+    timers_.add("bgp", sw.elapsed_seconds());
+    dirty.insert(bgp_dirty.begin(), bgp_dirty.end());
+  }
+  dirty.insert(ospf_dirty.begin(), ospf_dirty.end());
   for (const auto& change : result.link_changes) {
     const topo::Link& link = target.topology.link(change.link);
     dirty.insert(link.a);
@@ -113,6 +161,8 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
   }
 
   snap_ = std::move(target);
+  if (dirty.empty()) return result;
+  sw.reset();
   for (topo::NodeId node : dirty) {
     Fib next = build_fib(node);
     NodeFibDelta delta = diff_fib(fibs_[node], next);

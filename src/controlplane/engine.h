@@ -3,9 +3,17 @@
 //
 // Construction performs a full (monolithic) build. advance() moves the
 // engine to a target snapshot *differentially*: it diffs configs and link
-// states, feeds the OSPF and BGP models their incremental updates, and
-// rebuilds FIBs only for nodes whose routing inputs changed. Structural
-// topology changes (node/link add/remove) fall back to a full rebuild.
+// states, runs each stage only when one of its inputs changed, and rebuilds
+// FIBs only for nodes whose routing inputs changed:
+//  * OSPF: link state, interfaces, the OSPF process, and static routes on
+//    a node whose OSPF redistributes statics before or after the change;
+//  * BGP: the same, with BGP's redistribution of statics, plus the BGP
+//    process, neighbors, prefix lists, route maps, and nodes whose OSPF
+//    routes changed;
+//  * FIB: every node with a changed input except ACLs and ACL bindings,
+//    which only the data plane reads.
+// A skipped stage is absent from timers(). Structural topology changes
+// (node/link add/remove) fall back to a full rebuild.
 #pragma once
 
 #include "config/diff.h"
@@ -36,7 +44,7 @@ class ControlPlaneEngine {
   AdvanceResult advance(topo::Snapshot target);
 
   /// Stage timings ("ospf", "bgp", "fib", "config-diff") of the last
-  /// advance() / construction.
+  /// advance() / construction; an advance lists only the stages it ran.
   const StageTimers& timers() const { return timers_; }
 
   /// Monolithic helper: computes all FIBs for a snapshot from scratch.

@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <algorithm>
+
 namespace dna::core {
 
 DnaEngine::DnaEngine(topo::Snapshot base) {
@@ -9,29 +11,74 @@ DnaEngine::DnaEngine(topo::Snapshot base) {
 
 DnaEngine::~DnaEngine() = default;
 
-std::vector<bool> DnaEngine::eval_invariants() const {
-  std::vector<bool> verdicts;
-  verdicts.reserve(invariants_.size());
-  for (const Invariant& invariant : invariants_) {
-    verdicts.push_back(eval_invariant(invariant, cp_->snapshot(), *dp_));
-  }
-  return verdicts;
+bool DnaEngine::eval(size_t invariant) const {
+  return eval_invariant(invariants_[invariant], cp_->snapshot(), *dp_);
 }
 
-void DnaEngine::record_flips(const std::vector<bool>& before,
-                             NetworkDiff& diff) const {
-  std::vector<bool> after = eval_invariants();
+bool DnaEngine::structural_change(const topo::Snapshot& target) const {
+  const topo::Topology& now = cp_->snapshot().topology;
+  const topo::Topology& next = target.topology;
+  if (now.num_nodes() != next.num_nodes() ||
+      now.num_links() != next.num_links()) {
+    return true;
+  }
+  for (topo::NodeId node = 0; node < now.num_nodes(); ++node) {
+    if (now.node_name(node) != next.node_name(node)) return true;
+  }
+  return false;
+}
+
+NetworkDiff DnaEngine::advance(topo::Snapshot target, Mode mode) {
+  Stopwatch total;
+  if (verdicts_.size() != invariants_.size()) {
+    verdicts_.clear();
+    for (size_t i = 0; i < invariants_.size(); ++i) {
+      verdicts_.push_back(eval(i));
+    }
+  }
+  const std::vector<bool> before = std::move(verdicts_);
+  verdicts_.clear();  // stale until this advance completes
+
+  // A structural change takes the monolithic path, which reads the old
+  // engine's facts before it drops it.
+  const bool differential =
+      mode == Mode::kDifferential && !structural_change(target);
+  NetworkDiff diff = differential ? advance_differential(std::move(target))
+                                  : advance_monolithic(std::move(target));
+
+  // Re-evaluate every invariant after a monolithic advance or a link
+  // change; otherwise only those whose traffic overlaps a re-verified EC.
+  // The rest keep their verdicts: the ECs they read did not change.
+  std::vector<bool> after = before;
+  if (!differential || !diff.link_changes.empty()) {
+    for (size_t i = 0; i < invariants_.size(); ++i) after[i] = eval(i);
+  } else {
+    // Affected ranges sorted by address; they are disjoint, so also by hi.
+    std::vector<dp::EcIndex::Range> affected;
+    for (dp::EcId ec : dp_->last_affected_ec_ids()) {
+      affected.push_back(dp_->ec_index().range(ec));
+    }
+    std::sort(affected.begin(), affected.end(),
+              [](const auto& a, const auto& b) { return a.lo < b.lo; });
+    for (size_t i = 0; i < invariants_.size(); ++i) {
+      const Ipv4Prefix& traffic = invariants_[i].traffic;
+      const auto it = std::lower_bound(
+          affected.begin(), affected.end(), traffic.first().bits(),
+          [](const auto& range, uint32_t lo) { return range.hi < lo; });
+      if (it != affected.end() && it->lo <= traffic.last().bits()) {
+        after[i] = eval(i);
+      }
+    }
+  }
   for (size_t i = 0; i < invariants_.size(); ++i) {
     if (before[i] != after[i]) {
       diff.invariant_flips.push_back(
           {invariants_[i].describe(), before[i], after[i]});
     }
   }
-}
-
-NetworkDiff DnaEngine::advance(topo::Snapshot target, Mode mode) {
-  return mode == Mode::kMonolithic ? advance_monolithic(std::move(target))
-                                   : advance_differential(std::move(target));
+  verdicts_ = std::move(after);
+  diff.seconds_total = total.elapsed_seconds();
+  return diff;
 }
 
 NetworkDiff DnaEngine::preview(topo::Snapshot target, Mode mode) {
@@ -42,10 +89,8 @@ NetworkDiff DnaEngine::preview(topo::Snapshot target, Mode mode) {
 }
 
 NetworkDiff DnaEngine::advance_monolithic(topo::Snapshot target) {
-  Stopwatch total;
   NetworkDiff diff;
   diff.used_monolithic = true;
-  std::vector<bool> before = eval_invariants();
 
   // Syntactic diff (cheap; reported for parity with differential mode).
   diff.config_changes =
@@ -87,16 +132,11 @@ NetworkDiff DnaEngine::advance_monolithic(topo::Snapshot target) {
 
   cp_ = std::move(next_cp);
   dp_ = std::move(next_dp);
-  record_flips(before, diff);
-  diff.seconds_total = total.elapsed_seconds();
   return diff;
 }
 
 NetworkDiff DnaEngine::advance_differential(topo::Snapshot target) {
-  Stopwatch total;
   NetworkDiff diff;
-  std::vector<bool> before = eval_invariants();
-
   cp::AdvanceResult cp_result = cp_->advance(std::move(target));
   for (const auto& entry : cp_->timers().entries()) {
     diff.stages.add(entry.stage, entry.seconds);
@@ -104,39 +144,14 @@ NetworkDiff DnaEngine::advance_differential(topo::Snapshot target) {
   diff.config_changes = std::move(cp_result.config_changes);
   diff.link_changes = std::move(cp_result.link_changes);
 
-  if (cp_result.rebuilt) {
-    // Structural change: the verifier's EC state is tied to the old node
-    // set; rebuild it and fall back to a full-fact subtraction.
-    Stopwatch sw;
-    auto old_reach = dp_->all_reach_facts();
-    auto old_loops = dp_->all_loop_facts();
-    auto old_bh = dp_->all_blackhole_facts();
-    dp_ = std::make_unique<dp::Verifier>(&cp_->snapshot(), &cp_->fibs());
-    auto new_reach = dp_->all_reach_facts();
-    diff.reach_delta.gained = facts_minus(new_reach, old_reach);
-    diff.reach_delta.lost = facts_minus(old_reach, new_reach);
-    auto new_loops = dp_->all_loop_facts();
-    diff.reach_delta.loops_gained = facts_minus(new_loops, old_loops);
-    diff.reach_delta.loops_lost = facts_minus(old_loops, new_loops);
-    auto new_bh = dp_->all_blackhole_facts();
-    diff.reach_delta.blackholes_gained = facts_minus(new_bh, old_bh);
-    diff.reach_delta.blackholes_lost = facts_minus(old_bh, new_bh);
-    diff.used_monolithic = true;
-    diff.stages.add("data-plane", sw.elapsed_seconds());
-    diff.affected_ecs = dp_->num_ecs();
-  } else {
-    diff.reach_delta = dp_->apply(&cp_->snapshot(), &cp_->fibs(),
-                                  cp_result.fib_delta, diff.config_changes);
-    for (const auto& entry : dp_->timers().entries()) {
-      diff.stages.add(entry.stage, entry.seconds);
-    }
-    diff.affected_ecs = dp_->last_affected_ecs();
+  diff.reach_delta = dp_->apply(&cp_->snapshot(), &cp_->fibs(),
+                                cp_result.fib_delta, diff.config_changes);
+  for (const auto& entry : dp_->timers().entries()) {
+    diff.stages.add(entry.stage, entry.seconds);
   }
+  diff.affected_ecs = dp_->last_affected_ecs();
   diff.fib_delta = std::move(cp_result.fib_delta);
   diff.total_ecs = dp_->num_ecs();
-
-  record_flips(before, diff);
-  diff.seconds_total = total.elapsed_seconds();
   return diff;
 }
 

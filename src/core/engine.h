@@ -15,8 +15,16 @@
 //
 //  * Mode::kDifferential — the paper's contribution: diff the configs,
 //    propagate deltas through incremental SPF / event-driven BGP /
-//    EC-granular data-plane re-verification. Cost scales with the impact of
-//    the change.
+//    EC-granular data-plane re-verification, running each control-plane
+//    stage only when its inputs changed. Cost scales with the impact of the
+//    change. A structural change (the node names or the link count differ)
+//    takes the monolithic path instead.
+//
+// Invariant verdicts persist from one advance to the next. They are all
+// evaluated on first use, after add_invariant(), and after an advance that
+// threw. A differential advance re-evaluates only the invariants whose
+// traffic overlaps an EC the verifier re-verified; a monolithic advance, a
+// structural change, or a link change re-evaluates every one.
 #pragma once
 
 #include <memory>
@@ -52,6 +60,7 @@ class DnaEngine {
 
   void add_invariant(Invariant invariant) {
     invariants_.push_back(std::move(invariant));
+    verdicts_.clear();
   }
   const std::vector<Invariant>& invariants() const { return invariants_; }
 
@@ -60,14 +69,20 @@ class DnaEngine {
   const dp::Verifier& verifier() const { return *dp_; }
 
  private:
+  /// Whether `target`'s node names or link count differ from the current
+  /// snapshot's.
+  bool structural_change(const topo::Snapshot& target) const;
   NetworkDiff advance_monolithic(topo::Snapshot target);
   NetworkDiff advance_differential(topo::Snapshot target);
-  std::vector<bool> eval_invariants() const;
-  void record_flips(const std::vector<bool>& before, NetworkDiff& diff) const;
+  /// Evaluates invariants_[invariant] on the current snapshot.
+  bool eval(size_t invariant) const;
 
   std::unique_ptr<cp::ControlPlaneEngine> cp_;
   std::unique_ptr<dp::Verifier> dp_;
   std::vector<Invariant> invariants_;
+  /// Verdict per invariant on the current snapshot. Stale, and evaluated
+  /// afresh on the next advance, unless it has one entry per invariant.
+  std::vector<bool> verdicts_;
 };
 
 }  // namespace dna::core

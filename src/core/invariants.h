@@ -1,8 +1,9 @@
 // Operator intent: named invariants evaluated against a verified data plane.
 //
 // Invariants reference nodes by name so they survive snapshot replacement.
-// The DNA engine evaluates the registered set before and after every change
-// and reports the flips — "this change broke X" / "this change fixed Y".
+// The DNA engine keeps the registered set's verdicts, re-evaluates those a
+// change can affect, and reports the flips — "this change broke X" / "this
+// change fixed Y".
 #pragma once
 
 #include <string>

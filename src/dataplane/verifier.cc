@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "dataplane/acl_eval.h"
 #include "util/error.h"
 
 namespace dna::dp {
@@ -64,6 +65,9 @@ Verifier::Verifier(const topo::Snapshot* snapshot,
   lpm_.resize(n);
   for (size_t node = 0; node < n; ++node) lpm_[node].rebuild((*fibs_)[node]);
   for (topo::NodeId node = 0; node < n; ++node) refresh_acl_cache(node);
+  probe_sources_.resize(n);
+  links_enabled_.resize(snap_->topology.num_links());
+  for (topo::NodeId node = 0; node < n; ++node) refresh_interface_cache(node);
   insert_all_prefixes();
   for (EcId ec = 0; ec < index_.num_atoms(); ++ec) verify_ec(ec);
 }
@@ -102,6 +106,26 @@ void Verifier::refresh_acl_cache(topo::NodeId node) {
       binding_cache_[{node, iface.name}] = {iface.acl_in, iface.acl_out};
     }
   }
+}
+
+bool Verifier::refresh_interface_cache(topo::NodeId node) {
+  bool changed = false;
+  const Ipv4Addr source = probe_source_address(snap_->configs[node]);
+  if (probe_sources_[node] != source) {
+    probe_sources_[node] = source;
+    changed = true;
+  }
+  for (uint32_t index : snap_->topology.links_of(node)) {
+    const topo::Link& link = snap_->topology.link(index);
+    const auto* a = snap_->configs[link.a].find_interface(link.a_if);
+    const auto* b = snap_->configs[link.b].find_interface(link.b_if);
+    const bool enabled = a && b && a->enabled && b->enabled;
+    if (links_enabled_[index] != enabled) {
+      links_enabled_[index] = enabled;
+      changed = true;
+    }
+  }
+  return changed;
 }
 
 namespace {
@@ -178,6 +202,7 @@ ReachDelta Verifier::apply(
   // Pass 1 reads the caches (pre-change state); caches refresh afterwards
   // so multiple changes on one node in a batch all see the old state.
   std::set<topo::NodeId> nodes_to_refresh;
+  std::set<topo::NodeId> interfaces_changed;
   for (const auto& change : config_changes) {
     if (!snap_->topology.has_node(change.node)) continue;
     const topo::NodeId node = snap_->topology.node_id(change.node);
@@ -194,6 +219,13 @@ ReachDelta Verifier::apply(
         nodes_to_refresh.insert(node);
         break;
       }
+      case config::ChangeKind::kInterfaceModified:
+      case config::ChangeKind::kInterfaceAdded:
+      case config::ChangeKind::kInterfaceRemoved:
+        // Checked against the interface cache below; the edit may also
+        // have re-bound the interface's ACLs.
+        interfaces_changed.insert(node);
+        [[fallthrough]];
       case config::ChangeKind::kInterfaceAclBinding: {
         // Re-binding is, from the interface's perspective, a change from
         // the old effective rule list to the new one.
@@ -224,19 +256,18 @@ ReachDelta Verifier::apply(
         nodes_to_refresh.insert(node);
         break;
       }
-      case config::ChangeKind::kInterfaceModified:
-      case config::ChangeKind::kInterfaceAdded:
-      case config::ChangeKind::kInterfaceRemoved:
-        // Probe source addresses may have changed; conservatively
-        // re-verify everything. (Such edits usually come with FIB churn.)
-        all_dirty = true;
-        nodes_to_refresh.insert(node);
-        break;
       default:
         break;
     }
   }
   for (topo::NodeId node : nodes_to_refresh) refresh_acl_cache(node);
+  // An interface edit that moved a probe source or enabled or disabled a
+  // link's interface changes edges the FIB delta does not name: re-verify
+  // every EC. Any other interface edit (an OSPF cost, say) reaches the data
+  // plane only through the FIBs.
+  for (topo::NodeId node : interfaces_changed) {
+    if (refresh_interface_cache(node)) all_dirty = true;
+  }
   // Link state changes gate edges in reach computation; FIB deltas usually
   // accompany them, but an OSPF-less link (e.g. pure BGP fabrics where the
   // session survives) can change reachability without FIB churn only if the
@@ -299,7 +330,7 @@ ReachDelta Verifier::apply(
       }
     }
   }
-  last_affected_ = affected.size();
+  last_affected_.assign(affected.begin(), affected.end());
   timers_.add("verify", sw.elapsed_seconds());
   out.canonicalize();
   return out;

@@ -7,7 +7,15 @@
 // "affected" only the atoms overlapping changed prefixes (plus atoms covered
 // by edited ACLs), re-verifies exactly those, and reports the reachability
 // delta in a canonical, EC-independent form that monolithic mode can also
-// produce — the property tests require the two to be identical.
+// produce — the property tests require the two to be identical. It also
+// names the affected atoms, so the core engine re-evaluates only the
+// invariants whose traffic overlaps one.
+//
+// Beyond FIBs and ACLs, the data plane reads two things from interface
+// configs: each node's probe source address and whether a link's two
+// interfaces are enabled. An interface edit that changes either re-verifies
+// every atom; any other (an OSPF cost, a passive flag) reaches the data
+// plane through the FIB delta alone.
 #pragma once
 
 #include <map>
@@ -82,7 +90,11 @@ class Verifier {
   const EcReach& reach(EcId ec) const { return reaches_.at(ec); }
 
   /// ECs re-verified by the last apply() (experiment F4's numerator).
-  size_t last_affected_ecs() const { return last_affected_; }
+  size_t last_affected_ecs() const { return last_affected_.size(); }
+  /// Their ids, ascending.
+  const std::vector<EcId>& last_affected_ec_ids() const {
+    return last_affected_;
+  }
 
   /// Stage timings of the last apply(): "ec-index", "verify".
   const StageTimers& timers() const { return timers_; }
@@ -90,6 +102,9 @@ class Verifier {
  private:
   void insert_all_prefixes();
   void refresh_acl_cache(topo::NodeId node);
+  /// Re-reads the node's probe source and its links' interface state;
+  /// returns whether either changed.
+  bool refresh_interface_cache(topo::NodeId node);
   void verify_ec(EcId ec);
 
   /// Destination prefixes whose packets can behave differently after an
@@ -116,12 +131,16 @@ class Verifier {
   std::map<std::pair<topo::NodeId, std::string>,
            std::pair<std::string, std::string>>
       binding_cache_;
+  /// Probe source per node and "both interfaces enabled" per link, as of
+  /// the last build/apply.
+  std::vector<Ipv4Addr> probe_sources_;
+  std::vector<bool> links_enabled_;
 
   /// The rule list an interface binding named `acl_name` effectively
   /// enforced before this batch (cache lookup; absent = permit-all).
   const std::vector<config::AclRule>& cached_rules(
       topo::NodeId node, const std::string& acl_name) const;
-  size_t last_affected_ = 0;
+  std::vector<EcId> last_affected_;
   StageTimers timers_;
 };
 

@@ -1,11 +1,17 @@
 // The headline property of the whole system: Mode::kDifferential and
 // Mode::kMonolithic produce identical NetworkDiffs, across topologies,
-// change types, and randomized sequences. Plus invariant-flip reporting
-// and the interval-difference helper.
+// change types, and randomized sequences, while the differential advance
+// skips the stages a change does not feed and keeps invariant verdicts
+// between advances. Structural changes match two fresh engines compared by
+// node name. Plus invariant-flip reporting and the interval-difference
+// helper.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "core/engine.h"
 #include "core/report.h"
+#include "scenario/spec.h"
 #include "topo/generators.h"
 #include "topo/mutators.h"
 #include "util/rng.h"
@@ -139,7 +145,31 @@ struct ChangeCase {
   const char* name;
   Snapshot (*make)();
   Snapshot (*change)(Snapshot);
+  /// Stages the differential advance must not run.
+  std::vector<std::string> skipped = {};
 };
+
+/// Binds, inbound on every interface of `node`, an ACL that drops packets
+/// whose source address is in `src`.
+Snapshot with_source_block(Snapshot s, const std::string& node,
+                           Ipv4Prefix src) {
+  config::NodeConfig& cfg = s.config_of(node);
+  std::erase_if(cfg.acls, [](const auto& acl) { return acl.name == "SRC"; });
+  cfg.acls.push_back(
+      {"SRC",
+       {{config::FilterAction::kDeny, src, Ipv4Prefix(), -1, -1, -1},
+        {config::FilterAction::kPermit, Ipv4Prefix(), Ipv4Prefix(), -1, -1,
+         -1}}});
+  for (auto& iface : cfg.interfaces) iface.acl_in = "SRC";
+  return s;
+}
+
+/// A static route at link `link`'s `a` end toward its `b` end.
+Snapshot with_static_over_link(Snapshot s, uint32_t link, Ipv4Prefix prefix) {
+  const topo::Link& l = s.topology.link(link);
+  const Ipv4Addr via = s.configs[l.b].find_interface(l.b_if)->address;
+  return topo::with_static_route(s, s.topology.node_name(l.a), prefix, via);
+}
 
 // Prints the case by name, so its test id is the same on every build.
 void PrintTo(const ChangeCase& test_case, std::ostream* os) {
@@ -177,6 +207,70 @@ ChangeCase cases[] = {
        return topo::with_bgp_announce(s, "as1",
                                       Ipv4Prefix(Ipv4Addr(198, 19, 0, 0), 24));
      }},
+    // No node redistributes statics: the route feeds r1's FIB alone.
+    {"ring_static",
+     [] { return topo::make_ring(6); },
+     [](Snapshot s) {
+       return with_static_over_link(s, 1,
+                                    Ipv4Prefix(Ipv4Addr(198, 18, 1, 0), 24));
+     },
+     {"ospf", "bgp"}},
+    // r1's OSPF redistributes statics, so the route feeds OSPF everywhere.
+    {"ring_static_redistributed",
+     [] {
+       Snapshot s = topo::make_ring(6);
+       s.config_of("r1").ospf.redistribute_static = true;
+       return s;
+     },
+     [](Snapshot s) {
+       return with_static_over_link(s, 1,
+                                    Ipv4Prefix(Ipv4Addr(198, 18, 1, 0), 24));
+     }},
+    // as0's BGP redistributes statics; nothing runs OSPF.
+    {"two_tier_static_redistributed",
+     [] {
+       Snapshot s = topo::make_two_tier_as(3, 2);
+       s.config_of("as0").bgp.redistribute_static = true;
+       return s;
+     },
+     [](Snapshot s) {
+       return with_static_over_link(s, 0,
+                                    Ipv4Prefix(Ipv4Addr(198, 18, 2, 0), 24));
+     },
+     {"ospf"}},
+    {"fattree_cost",
+     [] { return topo::make_fattree(4); },
+     [](Snapshot s) { return topo::with_link_cost(s, 7, 55); }},
+    // An ACL feeds the data plane alone: no control-plane stage runs.
+    {"ring_acl",
+     [] { return topo::make_ring(6); },
+     [](Snapshot s) { return topo::with_acl_block(s, "r2", host(1)); },
+     {"ospf", "bgp", "fib"}},
+    {"ring_shutdown",
+     [] { return topo::make_ring(6); },
+     [](Snapshot s) {
+       return topo::with_interface_enabled(s, "r2", "eth0", false);
+     }},
+    {"ring_loopback",
+     [] { return topo::make_ring(6); },
+     [](Snapshot s) {
+       s.config_of("r2").find_interface("lo")->address =
+           Ipv4Addr(172, 16, 9, 9);
+       return s;
+     }},
+    // The loopback is r2's probe source, and r3 drops packets from its old
+    // address: moving it changes r2's reach in every EC routed via r3,
+    // though no FIB entry for those ECs changes.
+    {"ring_probe_source",
+     [] {
+       return with_source_block(topo::make_ring(6), "r3",
+                                Ipv4Prefix(Ipv4Addr(172, 16, 0, 2), 32));
+     },
+     [](Snapshot s) {
+       s.config_of("r2").find_interface("lo")->address =
+           Ipv4Addr(172, 16, 9, 9);
+       return s;
+     }},
 };
 
 class ModeEquivalence : public ::testing::TestWithParam<ChangeCase> {};
@@ -191,9 +285,285 @@ TEST_P(ModeEquivalence, DifferentialEqualsMonolithic) {
   NetworkDiff diff_d = differential.advance(target, Mode::kDifferential);
   NetworkDiff diff_m = monolithic.advance(target, Mode::kMonolithic);
   expect_same_semantic_diff(diff_d, diff_m, test_case.name);
+  for (const std::string& stage : test_case.skipped) {
+    for (const auto& entry : diff_d.stages.entries()) {
+      EXPECT_NE(entry.stage, stage) << test_case.name << " ran " << stage;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ModeEquivalence, ::testing::ValuesIn(cases),
+                         ::testing::PrintToStringParamName());
+
+TEST(DnaEngine, InterfaceEditReverifiesEveryEcOnlyWhenTheDataPlaneReadsIt) {
+  // Beyond FIBs and ACLs the data plane reads a node's probe source and
+  // whether a link's interfaces are enabled. Other interface edits reach
+  // it through the FIB delta alone.
+  const Snapshot base = topo::make_ring(6);
+  DnaEngine engine(base);
+  auto affected = [&](const Snapshot& target) {
+    const NetworkDiff diff = engine.preview(target, Mode::kDifferential);
+    return std::pair(diff.affected_ecs, diff.total_ecs);
+  };
+  Snapshot loopback = base;
+  loopback.config_of("r2").find_interface("lo")->address =
+      Ipv4Addr(172, 16, 9, 9);
+  const auto [moved, all] = affected(loopback);
+  EXPECT_EQ(moved, all);
+  EXPECT_EQ(affected(topo::with_interface_enabled(base, "r2", "eth0", false))
+                .first,
+            all);
+  EXPECT_LT(affected(topo::with_link_cost(base, 2, 99)).first, all);
+  EXPECT_LT(affected(topo::with_interface_enabled(base, "r0", "host0", false))
+                .first,
+            all);
+}
+
+TEST(DnaEngine, CostOnlyEditReverifiesWhatItsFibDeltaNames) {
+  // A cost edit changes no probe source and no interface's enabled state,
+  // so only the ECs of the prefixes whose FIB entries changed are
+  // re-verified, not all 175: on average no more than a link failure's
+  // (136). Every fat-tree link is like link 0 (edge-aggregation) or link 9
+  // (aggregation-core), and the two tiers have equally many links.
+  Snapshot base = topo::make_fattree(6);
+  DnaEngine differential(base);
+  DnaEngine monolithic(base);
+  size_t affected = 0;
+  for (uint32_t link : {0u, 9u}) {
+    Snapshot target = topo::with_link_cost(base, link, 60);
+    NetworkDiff diff = differential.preview(target, Mode::kDifferential);
+    EXPECT_LT(diff.affected_ecs, diff.total_ecs) << "link " << link;
+    affected += diff.affected_ecs;
+    expect_same_semantic_diff(diff,
+                              monolithic.preview(target, Mode::kMonolithic),
+                              "cost of link " + std::to_string(link));
+  }
+  EXPECT_LE(static_cast<double>(affected) / 2, 136.0);
+}
+
+// ---------------------------------------------------------------------------
+// Structural changes: a node added at the end of the node list, a link added
+// or removed. The reference is two fresh engines' facts, compared by node
+// name. (Removing a node, or inserting one mid-list, shifts node ids; both
+// modes key facts by position, so those stay out of these cases.)
+// ---------------------------------------------------------------------------
+
+/// Links `a` and `b` over fresh interfaces on the /30 at `subnet`, and peers
+/// them if both run BGP.
+void connect(Snapshot& s, const std::string& a, const std::string& b,
+             Ipv4Addr subnet) {
+  const Ipv4Addr ip_a(subnet.bits() + 1), ip_b(subnet.bits() + 2);
+  auto add_interface = [&](const std::string& node, Ipv4Addr address) {
+    config::NodeConfig& cfg = s.config_of(node);
+    config::InterfaceConfig iface;
+    iface.name = "new" + std::to_string(cfg.interfaces.size());
+    iface.address = address;
+    iface.prefix_len = 30;
+    cfg.interfaces.push_back(iface);
+    return iface.name;
+  };
+  const std::string if_a = add_interface(a, ip_a);
+  const std::string if_b = add_interface(b, ip_b);
+  s.topology.add_link(s.topology.node_id(a), if_a, s.topology.node_id(b),
+                      if_b);
+  config::BgpConfig& bgp_a = s.config_of(a).bgp;
+  config::BgpConfig& bgp_b = s.config_of(b).bgp;
+  if (bgp_a.enabled && bgp_b.enabled) {
+    bgp_a.neighbors.push_back({ip_b, bgp_b.as_number, "", ""});
+    bgp_b.neighbors.push_back({ip_a, bgp_a.as_number, "", ""});
+  }
+}
+
+/// Appends node `name`, linked to `peer` and owning the host network
+/// `hosts`, running the peer's OSPF process.
+Snapshot with_node_at_end(Snapshot s, const std::string& name,
+                          const std::string& peer, Ipv4Prefix hosts) {
+  const topo::NodeId id = s.topology.add_node(name);
+  config::NodeConfig cfg;
+  cfg.name = name;
+  config::InterfaceConfig lo;
+  lo.name = "lo";
+  lo.address = Ipv4Addr(172, 16, 200, static_cast<uint8_t>(id));
+  lo.prefix_len = 32;
+  lo.ospf_passive = true;
+  config::InterfaceConfig host_if;
+  host_if.name = "host0";
+  host_if.address = Ipv4Addr(hosts.addr().bits() + 1);
+  host_if.prefix_len = hosts.length();
+  host_if.ospf_passive = true;
+  cfg.interfaces = {lo, host_if};
+  cfg.ospf = s.config_of(peer).ospf;
+  s.configs.push_back(std::move(cfg));
+  connect(s, name, peer, Ipv4Addr(10, 255, 0, 0));
+  return s;
+}
+
+Snapshot with_new_link(Snapshot s, const std::string& a,
+                       const std::string& b) {
+  connect(s, a, b, Ipv4Addr(10, 255, 1, 0));
+  return s;
+}
+
+/// Drops link `index`; its interfaces stay configured.
+Snapshot without_link(const Snapshot& s, uint32_t index) {
+  Snapshot out;
+  for (topo::NodeId node = 0; node < s.topology.num_nodes(); ++node) {
+    out.topology.add_node(s.topology.node_name(node));
+  }
+  for (uint32_t i = 0; i < s.topology.num_links(); ++i) {
+    if (i == index) continue;
+    const topo::Link& link = s.topology.link(i);
+    out.topology.set_link_up(
+        out.topology.add_link(link.a, link.a_if, link.b, link.b_if),
+        link.up);
+  }
+  out.configs = s.configs;
+  return out;
+}
+
+/// Node name -> id in one id space shared by two snapshots.
+using NameIds = std::map<std::string, topo::NodeId>;
+
+NameIds shared_ids(const Snapshot& a, const Snapshot& b) {
+  NameIds ids;
+  for (const Snapshot* snap : {&a, &b}) {
+    for (topo::NodeId node = 0; node < snap->topology.num_nodes(); ++node) {
+      ids.emplace(snap->topology.node_name(node), ids.size());
+    }
+  }
+  return ids;
+}
+
+/// A ReachDelta whose node ids (positions in `topology`) are re-keyed into
+/// `ids`, in canonical form.
+dp::ReachDelta by_name(dp::ReachDelta delta, const topo::Topology& topology,
+                       const NameIds& ids) {
+  auto id = [&](topo::NodeId node) { return ids.at(topology.node_name(node)); };
+  for (auto* facts : {&delta.gained, &delta.lost}) {
+    for (dp::ReachFact& fact : *facts) {
+      fact.src = id(fact.src);
+      fact.dst = id(fact.dst);
+    }
+  }
+  for (auto* facts : {&delta.loops_gained, &delta.loops_lost,
+                      &delta.blackholes_gained, &delta.blackholes_lost}) {
+    for (dp::FlagFact& fact : *facts) fact.src = id(fact.src);
+  }
+  delta.canonicalize();
+  return delta;
+}
+
+/// An engine's full fact sets, as the facts "gained" from nothing.
+dp::ReachDelta facts_of(const DnaEngine& engine, const NameIds& ids) {
+  dp::ReachDelta facts;
+  facts.gained = engine.verifier().all_reach_facts();
+  facts.loops_gained = engine.verifier().all_loop_facts();
+  facts.blackholes_gained = engine.verifier().all_blackhole_facts();
+  return by_name(std::move(facts), engine.snapshot().topology, ids);
+}
+
+/// The delta from fact set `before` to fact set `after` (both facts_of).
+dp::ReachDelta delta_between(const dp::ReachDelta& before,
+                             const dp::ReachDelta& after) {
+  dp::ReachDelta delta;
+  delta.gained = facts_minus(after.gained, before.gained);
+  delta.lost = facts_minus(before.gained, after.gained);
+  delta.loops_gained = facts_minus(after.loops_gained, before.loops_gained);
+  delta.loops_lost = facts_minus(before.loops_gained, after.loops_gained);
+  delta.blackholes_gained =
+      facts_minus(after.blackholes_gained, before.blackholes_gained);
+  delta.blackholes_lost =
+      facts_minus(before.blackholes_gained, after.blackholes_gained);
+  return delta;
+}
+
+class StructuralChange : public ::testing::TestWithParam<ChangeCase> {};
+
+ChangeCase structural_cases[] = {
+    {"ring_add_node",
+     [] { return topo::make_ring(5); },
+     [](Snapshot s) {
+       return with_node_at_end(s, "r5", "r0",
+                               Ipv4Prefix(Ipv4Addr(172, 31, 5, 0), 24));
+     }},
+    {"fattree_add_node",
+     [] { return topo::make_fattree(4); },
+     [](Snapshot s) {
+       return with_node_at_end(s, "sw20", "sw0",
+                               Ipv4Prefix(Ipv4Addr(172, 31, 99, 0), 24));
+     }},
+    {"fattree_add_link",
+     [] { return topo::make_fattree(4); },
+     [](Snapshot s) { return with_new_link(s, "sw0", "sw1"); }},
+    {"fattree_remove_link",
+     [] { return topo::make_fattree(4); },
+     [](Snapshot s) { return without_link(s, 5); }},
+    {"two_tier_add_link",
+     [] { return topo::make_two_tier_as(3, 2); },
+     [](Snapshot s) { return with_new_link(s, "as0", "as1"); }},
+    {"two_tier_remove_link",
+     [] { return topo::make_two_tier_as(3, 2); },
+     [](Snapshot s) { return without_link(s, 1); }},
+};
+
+TEST_P(StructuralChange, MatchesFreshEnginesByName) {
+  const ChangeCase& test_case = GetParam();
+  const Snapshot base = test_case.make();
+  const Snapshot target = test_case.change(base);
+  const NameIds ids = shared_ids(target, base);
+  // Every host pair of the target: the new node's fail on the base, whose
+  // node names do not include it.
+  const std::vector<Invariant> invariants =
+      scenario::host_reachability_invariants(target);
+
+  DnaEngine fresh_base(base);
+  DnaEngine fresh_target(target);
+  const dp::ReachDelta before = facts_of(fresh_base, ids);
+  const dp::ReachDelta after = facts_of(fresh_target, ids);
+  const dp::ReachDelta expected = delta_between(before, after);
+  std::vector<InvariantFlip> expected_flips;
+  for (const Invariant& invariant : invariants) {
+    const bool was = eval_invariant(invariant, base, fresh_base.verifier());
+    const bool is = eval_invariant(invariant, target, fresh_target.verifier());
+    if (was != is) expected_flips.push_back({invariant.describe(), was, is});
+  }
+  ASSERT_FALSE(expected.empty());
+
+  for (Mode mode : {Mode::kDifferential, Mode::kMonolithic}) {
+    const std::string context =
+        std::string(test_case.name) +
+        (mode == Mode::kDifferential ? " differential" : " monolithic");
+    // The dna_cli diff path: advance, then render.
+    DnaEngine engine(base);
+    for (const Invariant& invariant : invariants) {
+      engine.add_invariant(invariant);
+    }
+    NetworkDiff diff = engine.advance(target, mode);
+    EXPECT_EQ(by_name(diff.reach_delta, target.topology, ids), expected)
+        << context;
+    EXPECT_EQ(diff.invariant_flips, expected_flips) << context;
+    EXPECT_EQ(facts_of(engine, ids), after) << context;
+    EXPECT_NE(render(diff, engine.snapshot().topology, 50)
+                  .find(summarize(diff)),
+              std::string::npos)
+        << context;
+
+    // preview: the engine ends where a fresh base engine is.
+    DnaEngine previewed(base);
+    for (const Invariant& invariant : invariants) {
+      previewed.add_invariant(invariant);
+    }
+    NetworkDiff forward = previewed.preview(target, mode);
+    EXPECT_EQ(by_name(forward.reach_delta, target.topology, ids), expected)
+        << context;
+    EXPECT_EQ(forward.invariant_flips, expected_flips) << context;
+    EXPECT_TRUE(previewed.snapshot() == base) << context;
+    EXPECT_EQ(facts_of(previewed, ids), before) << context;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, StructuralChange,
+                         ::testing::ValuesIn(structural_cases),
                          ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------
@@ -232,6 +602,201 @@ TEST_P(ModeEquivalenceChurn, SequencesAgree) {
 INSTANTIATE_TEST_SUITE_P(Topologies, ModeEquivalenceChurn,
                          ::testing::Values("ring", "fattree", "two_tier"),
                          [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// Kept invariant verdicts: a differential engine re-evaluates only the
+// invariants whose traffic overlaps a re-verified EC, so a long churn of
+// advances and previews must report monolithic mode's flips at every step
+// and end with verdicts a fresh engine agrees with.
+// ---------------------------------------------------------------------------
+
+/// Prefixes the churn's static routes cover: two nobody owns, and halves of
+/// the host networks 172.31.0.0/24 and 172.31.1.0/24.
+const std::vector<Ipv4Prefix>& static_prefixes() {
+  static const std::vector<Ipv4Prefix> prefixes = {
+      Ipv4Prefix(Ipv4Addr(192, 168, 0, 0), 24),
+      Ipv4Prefix(Ipv4Addr(192, 168, 1, 0), 24),
+      Ipv4Prefix(Ipv4Addr(172, 31, 0, 0), 25),
+      Ipv4Prefix(Ipv4Addr(172, 31, 1, 128), 25)};
+  return prefixes;
+}
+
+std::vector<Invariant> churn_invariants(const Snapshot& base) {
+  std::vector<Invariant> invariants =
+      scenario::host_reachability_invariants(base);
+  invariants.push_back({Invariant::Kind::kLoopFree, "", "", "", Ipv4Prefix()});
+  const topo::Topology& topology = base.topology;
+  const std::string& a = topology.node_name(
+      topo::find_address_owner(base, Ipv4Addr(172, 31, 0, 1)));
+  const std::string& b = topology.node_name(
+      topo::find_address_owner(base, Ipv4Addr(172, 31, 1, 1)));
+  const std::string& waypoint = topology.node_name(1);
+  const std::string& far = topology.node_name(
+      static_cast<topo::NodeId>(topology.num_nodes() - 1));
+  for (const Ipv4Prefix& prefix : static_prefixes()) {
+    invariants.push_back({Invariant::Kind::kReachable, far, a, "", prefix});
+    invariants.push_back({Invariant::Kind::kReachable, a, b, "", prefix});
+    invariants.push_back({Invariant::Kind::kIsolated, a, b, "", prefix});
+    invariants.push_back(
+        {Invariant::Kind::kWaypoint, far, a, waypoint, prefix});
+    invariants.push_back({Invariant::Kind::kBlackholeFree, a, "", "", prefix});
+    invariants.push_back(
+        {Invariant::Kind::kBlackholeFree, far, "", "", prefix});
+  }
+  return invariants;
+}
+
+/// One churn edit of `snap`: random_change's mix (costs, link failures and
+/// repairs, ACL blocks, static routes), static routes over the invariants'
+/// prefixes and their removal, interface shutdowns and repairs,
+/// re-addressed loopbacks and links, ACLs on probe sources, and a return to
+/// `base`.
+Snapshot churn_edit(const Snapshot& base, const Snapshot& snap, Rng& rng,
+                    std::string& what) {
+  const topo::Topology& topology = snap.topology;
+  const auto node =
+      static_cast<topo::NodeId>(rng.below(topology.num_nodes()));
+  const std::string& name = topology.node_name(node);
+  switch (rng.below(11)) {
+    case 0:
+    case 1:
+    case 2: {
+      topo::RandomChange change = topo::random_change(snap, rng);
+      what = change.description;
+      return std::move(change.snapshot);
+    }
+    case 3:
+    case 4: {
+      const std::vector<uint32_t>& links = topology.links_of(node);
+      const topo::Link& link = topology.link(links[rng.below(links.size())]);
+      const topo::NodeId peer = link.peer_of(node);
+      const Ipv4Prefix& prefix =
+          static_prefixes()[rng.below(static_prefixes().size())];
+      what = "static " + prefix.str() + " at " + name;
+      return topo::with_static_route(
+          snap, name, prefix,
+          snap.configs[peer].find_interface(link.if_of(peer))->address);
+    }
+    case 5: {
+      Snapshot next = snap;
+      next.configs[node].static_routes.clear();
+      what = "clear static routes at " + name;
+      return next;
+    }
+    case 6: {
+      const auto& interfaces = snap.configs[node].interfaces;
+      const auto& iface = interfaces[rng.below(interfaces.size())];
+      what = (iface.enabled ? "shut " : "enable ") + name + ":" + iface.name;
+      return topo::with_interface_enabled(snap, name, iface.name,
+                                          !iface.enabled);
+    }
+    case 7: {
+      // Half the new addresses fall in the source block of case 9.
+      Snapshot next = snap;
+      next.configs[node].find_interface("lo")->address = Ipv4Addr(
+          172, 16, static_cast<uint8_t>(100 + rng.below(2)),
+          static_cast<uint8_t>(node));
+      what = "re-address lo at " + name;
+      return next;
+    }
+    case 8: {
+      // Both ends of a link move to a fresh /30 (they must share a subnet).
+      const auto index =
+          static_cast<uint32_t>(rng.below(topology.num_links()));
+      const topo::Link& link = topology.link(index);
+      const uint32_t subnet = Ipv4Addr(10, 254, 0, 0).bits() +
+                              4 * static_cast<uint32_t>(rng.below(64));
+      Snapshot next = snap;
+      next.configs[link.a].find_interface(link.a_if)->address =
+          Ipv4Addr(subnet + 1);
+      next.configs[link.b].find_interface(link.b_if)->address =
+          Ipv4Addr(subnet + 2);
+      what = "re-address link " + std::to_string(index);
+      return next;
+    }
+    case 9:
+      what = "block sources 172.16.100.0/24 at " + name;
+      return with_source_block(snap, name,
+                               Ipv4Prefix(Ipv4Addr(172, 16, 100, 0), 24));
+    default:
+      what = "back to the base";
+      return base;
+  }
+}
+
+struct ChurnCase {
+  const char* topology;
+  uint64_t seed;
+};
+
+// Prints the case by name, so its test id is the same on every build.
+void PrintTo(const ChurnCase& test_case, std::ostream* os) {
+  *os << test_case.topology << "_seed" << test_case.seed;
+}
+
+class InvariantChurn : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(InvariantChurn, FlipsMatchMonolithicAndVerdictsStayFresh) {
+  const std::string which = GetParam().topology;
+  const uint64_t seed = GetParam().seed;
+  Snapshot base;
+  if (which == "ring") base = topo::make_ring(6);
+  if (which == "fattree") base = topo::make_fattree(4);
+  if (which == "two_tier") base = topo::make_two_tier_as(3, 2);
+  if (which == "grid") base = topo::make_grid(3, 3);
+  if (seed % 2 == 1) {
+    // Static routes feed OSPF or BGP, not only the FIB.
+    for (config::NodeConfig& cfg : base.configs) {
+      cfg.ospf.redistribute_static = cfg.ospf.enabled;
+      cfg.bgp.redistribute_static = cfg.bgp.enabled;
+    }
+  }
+  const std::vector<Invariant> invariants = churn_invariants(base);
+  DnaEngine differential(base);
+  DnaEngine monolithic(base);
+  for (const Invariant& invariant : invariants) {
+    differential.add_invariant(invariant);
+    monolithic.add_invariant(invariant);
+  }
+
+  Rng rng(0xC4A2 + seed);
+  Snapshot snap = base;
+  for (int step = 0; step < 40; ++step) {
+    std::string what;
+    Snapshot next = churn_edit(base, snap, rng, what);
+    const bool preview = rng.below(3) == 0;
+    const std::string context = "step " + std::to_string(step) + ": " +
+                                (preview ? "preview " : "") + what;
+    NetworkDiff diff_d = preview
+                             ? differential.preview(next, Mode::kDifferential)
+                             : differential.advance(next, Mode::kDifferential);
+    NetworkDiff diff_m = preview ? monolithic.preview(next, Mode::kMonolithic)
+                                 : monolithic.advance(next, Mode::kMonolithic);
+    expect_same_semantic_diff(diff_d, diff_m, context);
+    if (HasFailure()) return;
+    if (!preview) snap = std::move(next);
+  }
+
+  // A monolithic advance re-evaluates every "after" verdict but takes
+  // "before" from the kept ones, so a stale kept verdict shows as a flip
+  // that a fresh engine at the same snapshot does not report.
+  DnaEngine fresh(snap);
+  for (const Invariant& invariant : invariants) fresh.add_invariant(invariant);
+  EXPECT_EQ(differential.advance(base, Mode::kMonolithic).invariant_flips,
+            fresh.advance(base, Mode::kMonolithic).invariant_flips);
+}
+
+std::vector<ChurnCase> churn_cases() {
+  std::vector<ChurnCase> cases;
+  for (const char* topology : {"ring", "fattree", "two_tier", "grid"}) {
+    for (uint64_t seed = 0; seed < 6; ++seed) cases.push_back({topology, seed});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InvariantChurn,
+                         ::testing::ValuesIn(churn_cases()),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace dna::core
