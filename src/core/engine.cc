@@ -144,8 +144,8 @@ NetworkDiff DnaEngine::advance_differential(topo::Snapshot target) {
   diff.config_changes = std::move(cp_result.config_changes);
   diff.link_changes = std::move(cp_result.link_changes);
 
-  diff.reach_delta = dp_->apply(&cp_->snapshot(), &cp_->fibs(),
-                                cp_result.fib_delta, diff.config_changes);
+  diff.reach_delta = dp_->apply(&cp_->snapshot(), cp_result.fib_delta,
+                                diff.config_changes);
   for (const auto& entry : dp_->timers().entries()) {
     diff.stages.add(entry.stage, entry.seconds);
   }

@@ -53,7 +53,7 @@ bool eval_invariant(const Invariant& invariant,
       int way = id_of(invariant.waypoint);
       if (src < 0 || dst < 0 || way < 0) return false;
       return dp::waypoint_enforced(
-          verifier, snapshot, static_cast<topo::NodeId>(src),
+          verifier, static_cast<topo::NodeId>(src),
           static_cast<topo::NodeId>(dst), static_cast<topo::NodeId>(way),
           invariant.traffic);
     }

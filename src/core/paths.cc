@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "dataplane/acl_eval.h"
-
 namespace dna::core {
 
 std::string ForwardingPath::str(const topo::Topology& topology) const {
@@ -32,8 +30,7 @@ std::string ForwardingPath::str(const topo::Topology& topology) const {
 namespace {
 
 struct Enumerator {
-  const dp::Verifier& verifier;
-  const topo::Snapshot& snapshot;
+  const dp::EdgeTable& edges;
   const dp::EcGraph& graph;
   dp::Probe probe;
   size_t max_paths;
@@ -66,17 +63,7 @@ struct Enumerator {
       case dp::NodeVerdict::Kind::kForward: {
         bool advanced = false;
         for (const cp::Hop& hop : verdict.hops) {
-          const topo::Link& link = snapshot.topology.link(hop.link);
-          if (!link.up) continue;
-          const auto& cfg_u = snapshot.configs[node];
-          const auto& cfg_v = snapshot.configs[hop.next];
-          const auto* out_if = cfg_u.find_interface(link.if_of(node));
-          const auto* in_if = cfg_v.find_interface(link.if_of(hop.next));
-          if (!out_if || !in_if || !out_if->enabled || !in_if->enabled) {
-            continue;
-          }
-          if (!dp::acl_permits(cfg_u, out_if->acl_out, probe)) continue;
-          if (!dp::acl_permits(cfg_v, in_if->acl_in, probe)) continue;
+          if (!edges.permits(node, hop, probe)) continue;
           advanced = true;
           walk(hop.next);
         }
@@ -93,20 +80,18 @@ struct Enumerator {
 }  // namespace
 
 std::vector<ForwardingPath> forwarding_paths(const dp::Verifier& verifier,
-                                             const topo::Snapshot& snapshot,
                                              topo::NodeId src, Ipv4Addr dst,
                                              size_t max_paths) {
   // The atom containing dst fixes every node's verdict.
   const dp::EcId ec = verifier.ec_index().covering(Ipv4Prefix(dst, 32))[0];
-  Enumerator enumerator{
-      verifier,
-      snapshot,
-      verifier.graph(ec),
-      {dp::probe_source_address(snapshot.configs[src]), dst},
-      max_paths,
-      {},
-      {},
-      std::vector<bool>(snapshot.topology.num_nodes(), false)};
+  const dp::EcGraph& graph = verifier.graph(ec);
+  Enumerator enumerator{verifier.edges(),
+                        graph,
+                        {verifier.edges().probe_sources[src], dst},
+                        max_paths,
+                        {},
+                        {},
+                        std::vector<bool>(graph.verdicts.size(), false)};
   enumerator.walk(src);
   std::sort(enumerator.out.begin(), enumerator.out.end());
   return std::move(enumerator.out);

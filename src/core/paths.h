@@ -24,10 +24,10 @@ struct ForwardingPath {
 };
 
 /// Enumerates forwarding paths for (src, dst address). DFS over the EC
-/// graph with ACL filtering; each ECMP branch forks a path. Stops after
+/// graph's edges the verifier permits (dp::EdgeTable::permits); each ECMP
+/// branch forks a path. Stops after
 /// `max_paths` (remaining branches are not reported).
 std::vector<ForwardingPath> forwarding_paths(const dp::Verifier& verifier,
-                                             const topo::Snapshot& snapshot,
                                              topo::NodeId src, Ipv4Addr dst,
                                              size_t max_paths = 16);
 

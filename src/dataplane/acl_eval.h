@@ -6,6 +6,8 @@
 // src/dst-prefix ACLs the workload generators produce).
 #pragma once
 
+#include <vector>
+
 #include "config/model.h"
 #include "util/ip.h"
 
@@ -16,8 +18,12 @@ struct Probe {
   Ipv4Addr dst;
 };
 
-/// First-match evaluation with implicit deny. An empty name or a dangling
-/// reference permits everything (no filter attached).
+/// First-match evaluation of a rule list with implicit deny.
+bool rules_permit(const std::vector<config::AclRule>& rules,
+                  const Probe& probe);
+
+/// rules_permit over the ACL named `acl_name` in `cfg`. An empty name or a
+/// dangling reference permits everything (no filter attached).
 bool acl_permits(const config::NodeConfig& cfg, const std::string& acl_name,
                  const Probe& probe);
 

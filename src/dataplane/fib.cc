@@ -4,10 +4,28 @@ namespace dna::dp {
 
 void LpmTable::rebuild(const cp::Fib& fib) {
   entries_.clear();
+  per_length_.fill(0);
   present_lengths_ = 0;
-  for (const cp::FibEntry& entry : fib) {
-    entries_[entry.prefix] = entry;
-    present_lengths_ |= uint64_t{1} << entry.prefix.length();
+  for (const cp::FibEntry& entry : fib) add(entry);
+}
+
+void LpmTable::patch(const cp::NodeFibDelta& delta) {
+  for (const cp::FibEntry& entry : delta.removed) remove(entry.prefix);
+  for (const cp::FibEntry& entry : delta.added) add(entry);
+}
+
+void LpmTable::add(const cp::FibEntry& entry) {
+  const int len = entry.prefix.length();
+  if (entries_.insert_or_assign(entry.prefix, entry).second &&
+      per_length_[len]++ == 0) {
+    present_lengths_ |= uint64_t{1} << len;
+  }
+}
+
+void LpmTable::remove(const Ipv4Prefix& prefix) {
+  const int len = prefix.length();
+  if (entries_.erase(prefix) && --per_length_[len] == 0) {
+    present_lengths_ &= ~(uint64_t{1} << len);
   }
 }
 

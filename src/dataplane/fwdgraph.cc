@@ -2,24 +2,21 @@
 
 namespace dna::dp {
 
-EcGraph build_ec_graph(const topo::Snapshot& snapshot,
-                       const std::vector<LpmTable>& lpm, Ipv4Addr rep) {
-  EcGraph graph;
-  const size_t n = snapshot.topology.num_nodes();
-  graph.verdicts.resize(n);
-  for (size_t node = 0; node < n; ++node) {
+void build_ec_graph(const std::vector<LpmTable>& lpm, Ipv4Addr rep,
+                    EcGraph& graph) {
+  graph.verdicts.resize(lpm.size());
+  for (size_t node = 0; node < lpm.size(); ++node) {
     const cp::FibEntry* entry = lpm[node].lookup(rep);
     NodeVerdict& verdict = graph.verdicts[node];
-    if (!entry) {
-      verdict.kind = NodeVerdict::Kind::kDrop;
-    } else if (entry->action == cp::FibEntry::Action::kLocal) {
-      verdict.kind = NodeVerdict::Kind::kLocal;
+    if (!entry || entry->action == cp::FibEntry::Action::kLocal) {
+      verdict.kind =
+          entry ? NodeVerdict::Kind::kLocal : NodeVerdict::Kind::kDrop;
+      verdict.hops = std::vector<cp::Hop>();  // frees a forward's storage
     } else {
       verdict.kind = NodeVerdict::Kind::kForward;
       verdict.hops = entry->hops;
     }
   }
-  return graph;
 }
 
 }  // namespace dna::dp

@@ -24,8 +24,9 @@ struct EcGraph {
   bool operator==(const EcGraph&) const = default;
 };
 
-/// Builds the EC graph by LPM lookup of `rep` at every node.
-EcGraph build_ec_graph(const topo::Snapshot& snapshot,
-                       const std::vector<LpmTable>& lpm, Ipv4Addr rep);
+/// Rebuilds `graph` by LPM lookup of `rep` at every node (lpm is by node),
+/// reusing its storage.
+void build_ec_graph(const std::vector<LpmTable>& lpm, Ipv4Addr rep,
+                    EcGraph& graph);
 
 }  // namespace dna::dp

@@ -1,7 +1,5 @@
 #include "dataplane/properties.h"
 
-#include "dataplane/acl_eval.h"
-
 namespace dna::dp {
 
 bool any_reach(const Verifier& verifier, topo::NodeId src, topo::NodeId dst,
@@ -55,17 +53,18 @@ bool isolated(const Verifier& verifier, topo::NodeId src, topo::NodeId dst,
 
 namespace {
 
-/// Does `src` deliver at `dst` in this EC graph while never visiting
-/// `banned`? (DFS mirroring reach.cc's edge filtering.)
-bool delivers_avoiding(const topo::Snapshot& snapshot, const EcGraph& graph,
-                       Ipv4Addr rep, topo::NodeId src, topo::NodeId dst,
-                       topo::NodeId banned) {
-  const size_t n = snapshot.topology.num_nodes();
+/// Does `src` deliver at `dst` in this EC while never visiting `banned`?
+/// (A walk over the edges the reachability pass permits.)
+bool delivers_avoiding(const Verifier& verifier, EcId ec, topo::NodeId src,
+                       topo::NodeId dst, topo::NodeId banned) {
   if (src == banned) return false;
-  std::vector<bool> visited(n, false);
+  const EcGraph& graph = verifier.graph(ec);
+  const EdgeTable& edges = verifier.edges();
+  std::vector<bool> visited(graph.verdicts.size(), false);
   std::vector<topo::NodeId> stack{src};
   visited[src] = true;
-  const Probe probe{probe_source_address(snapshot.configs[src]), rep};
+  const Probe probe{edges.probe_sources[src],
+                    verifier.ec_index().representative(ec)};
   while (!stack.empty()) {
     topo::NodeId node = stack.back();
     stack.pop_back();
@@ -74,15 +73,7 @@ bool delivers_avoiding(const topo::Snapshot& snapshot, const EcGraph& graph,
     if (verdict.kind != NodeVerdict::Kind::kForward) continue;
     for (const cp::Hop& hop : verdict.hops) {
       if (hop.next == banned || visited[hop.next]) continue;
-      const topo::Link& link = snapshot.topology.link(hop.link);
-      if (!link.up) continue;
-      const auto& cfg_u = snapshot.configs[node];
-      const auto& cfg_v = snapshot.configs[hop.next];
-      const auto* out_if = cfg_u.find_interface(link.if_of(node));
-      const auto* in_if = cfg_v.find_interface(link.if_of(hop.next));
-      if (!out_if || !in_if || !out_if->enabled || !in_if->enabled) continue;
-      if (!acl_permits(cfg_u, out_if->acl_out, probe)) continue;
-      if (!acl_permits(cfg_v, in_if->acl_in, probe)) continue;
+      if (!edges.permits(node, hop, probe)) continue;
       visited[hop.next] = true;
       stack.push_back(hop.next);
     }
@@ -92,15 +83,12 @@ bool delivers_avoiding(const topo::Snapshot& snapshot, const EcGraph& graph,
 
 }  // namespace
 
-bool waypoint_enforced(const Verifier& verifier,
-                       const topo::Snapshot& snapshot, topo::NodeId src,
+bool waypoint_enforced(const Verifier& verifier, topo::NodeId src,
                        topo::NodeId dst, topo::NodeId waypoint,
                        const Ipv4Prefix& traffic) {
   for (EcId ec : verifier.ec_index().covering(traffic)) {
     if (!verifier.reach(ec).delivered[src].test(dst)) continue;
-    const Ipv4Addr rep = verifier.ec_index().representative(ec);
-    if (delivers_avoiding(snapshot, verifier.graph(ec), rep, src, dst,
-                          waypoint)) {
+    if (delivers_avoiding(verifier, ec, src, dst, waypoint)) {
       return false;  // a path bypasses the waypoint
     }
   }

@@ -40,8 +40,8 @@ bool isolated(const Verifier& verifier, topo::NodeId src, topo::NodeId dst,
 /// True if every delivery from `src` to `dst` for `traffic` passes through
 /// `waypoint` (checked by deleting the waypoint and requiring dst to become
 /// unreachable in every overlapping atom where it was reachable).
-bool waypoint_enforced(const Verifier& verifier, const topo::Snapshot& snapshot,
-                       topo::NodeId src, topo::NodeId dst,
-                       topo::NodeId waypoint, const Ipv4Prefix& traffic);
+bool waypoint_enforced(const Verifier& verifier, topo::NodeId src,
+                       topo::NodeId dst, topo::NodeId waypoint,
+                       const Ipv4Prefix& traffic);
 
 }  // namespace dna::dp

@@ -60,21 +60,27 @@ void ReachDelta::canonicalize() {
 
 Verifier::Verifier(const topo::Snapshot* snapshot,
                    const std::vector<cp::Fib>* fibs)
-    : snap_(snapshot), fibs_(fibs) {
+    : snap_(snapshot) {
   const size_t n = snap_->topology.num_nodes();
   lpm_.resize(n);
-  for (size_t node = 0; node < n; ++node) lpm_[node].rebuild((*fibs_)[node]);
-  for (topo::NodeId node = 0; node < n; ++node) refresh_acl_cache(node);
-  probe_sources_.resize(n);
-  links_enabled_.resize(snap_->topology.num_links());
-  for (topo::NodeId node = 0; node < n; ++node) refresh_interface_cache(node);
-  insert_all_prefixes();
+  for (size_t node = 0; node < n; ++node) lpm_[node].rebuild((*fibs)[node]);
+  edges_.topology = &snap_->topology;
+  edges_.links_enabled.resize(snap_->topology.num_links());
+  edges_.acls.resize(2 * snap_->topology.num_links());
+  edges_.probe_sources.resize(n);
+  for (topo::NodeId node = 0; node < n; ++node) {
+    refresh_acl_cache(node);
+    refresh_interface_cache(node);
+  }
+  insert_all_prefixes(*fibs);
+  graphs_.resize(index_.num_atoms());
+  reaches_.resize(index_.num_atoms());
   for (EcId ec = 0; ec < index_.num_atoms(); ++ec) verify_ec(ec);
 }
 
-void Verifier::insert_all_prefixes() {
+void Verifier::insert_all_prefixes(const std::vector<cp::Fib>& fibs) {
   // Return values ignored: the constructor verifies every atom afterwards.
-  for (const cp::Fib& fib : *fibs_) {
+  for (const cp::Fib& fib : fibs) {
     for (const cp::FibEntry& entry : fib) {
       (void)index_.insert_prefix(entry.prefix);
     }
@@ -98,31 +104,48 @@ void Verifier::refresh_acl_cache(topo::NodeId node) {
        it != binding_cache_.end() && it->first.first == node;) {
     it = binding_cache_.erase(it);
   }
-  for (const auto& acl : snap_->configs[node].acls) {
-    acl_rules_cache_[{node, acl.name}] = acl.rules;
+  const config::NodeConfig& cfg = snap_->configs[node];
+  for (const auto& acl : cfg.acls) {
+    acl_rules_cache_.try_emplace({node, acl.name}, acl.rules);
   }
-  for (const auto& iface : snap_->configs[node].interfaces) {
+  for (const auto& iface : cfg.interfaces) {
     if (!iface.acl_in.empty() || !iface.acl_out.empty()) {
       binding_cache_[{node, iface.name}] = {iface.acl_in, iface.acl_out};
     }
   }
+  // The rule lists this node's link ends bind: its acl-out on the direction
+  // it sends, its acl-in on the one it receives.
+  auto bound = [&](const std::string& name) -> const AclRules* {
+    if (name.empty()) return nullptr;
+    auto it = acl_rules_cache_.find({node, name});
+    return it != acl_rules_cache_.end() ? &it->second : nullptr;
+  };
+  for (uint32_t index : snap_->topology.links_of(node)) {
+    const topo::Link& link = snap_->topology.link(index);
+    const uint32_t sends = 2 * index + (link.a == node ? 0 : 1);
+    const uint32_t receives = sends ^ 1;
+    const auto* iface = cfg.find_interface(link.if_of(node));
+    edges_.acls[sends].out = iface ? bound(iface->acl_out) : nullptr;
+    edges_.acls[receives].in = iface ? bound(iface->acl_in) : nullptr;
+  }
 }
 
-bool Verifier::refresh_interface_cache(topo::NodeId node) {
-  bool changed = false;
+Verifier::InterfaceRefresh Verifier::refresh_interface_cache(
+    topo::NodeId node) {
+  InterfaceRefresh changed;
   const Ipv4Addr source = probe_source_address(snap_->configs[node]);
-  if (probe_sources_[node] != source) {
-    probe_sources_[node] = source;
-    changed = true;
+  if (edges_.probe_sources[node] != source) {
+    edges_.probe_sources[node] = source;
+    changed.probe_source_moved = true;
   }
   for (uint32_t index : snap_->topology.links_of(node)) {
     const topo::Link& link = snap_->topology.link(index);
     const auto* a = snap_->configs[link.a].find_interface(link.a_if);
     const auto* b = snap_->configs[link.b].find_interface(link.b_if);
     const bool enabled = a && b && a->enabled && b->enabled;
-    if (links_enabled_[index] != enabled) {
-      links_enabled_[index] = enabled;
-      changed = true;
+    if (edges_.links_enabled[index] != enabled) {
+      edges_.links_enabled[index] = enabled;
+      changed.link_enabled_changed = true;
     }
   }
   return changed;
@@ -176,28 +199,50 @@ std::vector<Ipv4Prefix> Verifier::acl_dirty_dsts(
 
 void Verifier::verify_ec(EcId ec) {
   const Ipv4Addr rep = index_.representative(ec);
-  graphs_[ec] = build_ec_graph(*snap_, lpm_, rep);
-  reaches_[ec] = compute_reach(*snap_, graphs_[ec], rep);
+  build_ec_graph(lpm_, rep, graphs_[ec]);
+  compute_reach(graphs_[ec], rep, edges_, reaches_[ec]);
 }
 
+namespace {
+/// Appends the prefixes whose forwarding changed at one node. EC graphs
+/// read an entry's action and hops alone, so an entry whose metric or
+/// protocol alone changed is skipped. Both lists are sorted by prefix, as
+/// cp::diff_fib emits them.
+void forwarding_changes(const cp::NodeFibDelta& delta,
+                        std::vector<Ipv4Prefix>& out) {
+  auto removed = delta.removed.begin();
+  auto added = delta.added.begin();
+  while (removed != delta.removed.end() || added != delta.added.end()) {
+    if (added == delta.added.end() ||
+        (removed != delta.removed.end() && removed->prefix < added->prefix)) {
+      out.push_back((removed++)->prefix);
+    } else if (removed == delta.removed.end() ||
+               added->prefix < removed->prefix) {
+      out.push_back((added++)->prefix);
+    } else {
+      if (removed->action != added->action || removed->hops != added->hops) {
+        out.push_back(added->prefix);
+      }
+      ++removed;
+      ++added;
+    }
+  }
+}
+}  // namespace
+
 ReachDelta Verifier::apply(
-    const topo::Snapshot* snapshot, const std::vector<cp::Fib>* fibs,
-    const cp::FibDelta& fib_delta,
+    const topo::Snapshot* snapshot, const cp::FibDelta& fib_delta,
     const std::vector<config::ConfigChange>& config_changes) {
   snap_ = snapshot;
-  fibs_ = fibs;
+  edges_.topology = &snap_->topology;
   timers_.clear();
   Stopwatch sw;
 
   // ---- Collect the prefixes whose atoms need re-verification -------------
   std::vector<Ipv4Prefix> dirty_prefixes;
-  bool all_dirty = false;
   for (const auto& [node, delta] : fib_delta.by_node) {
-    (void)node;
-    for (const auto& entry : delta.added) dirty_prefixes.push_back(entry.prefix);
-    for (const auto& entry : delta.removed) {
-      dirty_prefixes.push_back(entry.prefix);
-    }
+    forwarding_changes(delta, dirty_prefixes);
+    lpm_[node].patch(delta);
   }
   // Pass 1 reads the caches (pre-change state); caches refresh afterwards
   // so multiple changes on one node in a batch all see the old state.
@@ -260,40 +305,49 @@ ReachDelta Verifier::apply(
         break;
     }
   }
+  const bool acl_bound_before = !binding_cache_.empty();
   for (topo::NodeId node : nodes_to_refresh) refresh_acl_cache(node);
-  // An interface edit that moved a probe source or enabled or disabled a
-  // link's interface changes edges the FIB delta does not name: re-verify
-  // every EC. Any other interface edit (an OSPF cost, say) reaches the data
-  // plane only through the FIBs.
+  // An interface edit that enabled or disabled a link's interface changes
+  // edges the FIB delta does not name: re-verify every EC. A moved probe
+  // source changes only ACL verdicts, so it does the same only when some
+  // interface binds an ACL before or after the batch. Any other interface
+  // edit (an OSPF cost, say) reaches the data plane only through the FIBs.
+  bool all_dirty = false;
   for (topo::NodeId node : interfaces_changed) {
-    if (refresh_interface_cache(node)) all_dirty = true;
+    const InterfaceRefresh refreshed = refresh_interface_cache(node);
+    all_dirty = all_dirty || refreshed.link_enabled_changed ||
+                (refreshed.probe_source_moved &&
+                 (acl_bound_before || !binding_cache_.empty()));
   }
-  // Link state changes gate edges in reach computation; FIB deltas usually
-  // accompany them, but an OSPF-less link (e.g. pure BGP fabrics where the
-  // session survives) can change reachability without FIB churn only if the
-  // session broke — which does produce FIB churn. ACL-only paths are the
-  // ones that need the prefix treatment above.
 
-  // ---- Update the EC index and rebuild dirty LPM tables -------------------
-  std::set<EcId> affected;
-  for (const auto& [node, delta] : fib_delta.by_node) {
-    lpm_[node].rebuild((*fibs_)[node]);
-    (void)delta;
-  }
+  // ---- Update the EC index ------------------------------------------------
+  std::vector<EcId> affected;
+  std::vector<std::pair<EcId, EcId>> splits;  // (child, parent)
   for (const Ipv4Prefix& prefix : dirty_prefixes) {
-    // Atoms created by splits inherit the parent's pre-change state so that
-    // the before/after diff below is against what this address range really
-    // did before the change.
-    for (auto [child, parent] : index_.insert_prefix(prefix)) {
-      graphs_[child] = graphs_.at(parent);
-      reaches_[child] = reaches_.at(parent);
-      affected.insert(child);
+    for (const auto& split : index_.insert_prefix(prefix)) {
+      splits.push_back(split);
     }
-    for (EcId ec : index_.covering(prefix)) affected.insert(ec);
+    for (EcId ec : index_.covering(prefix)) affected.push_back(ec);
+  }
+  // Atoms created by splits inherit the parent's pre-change reachability,
+  // in creation order, so that the before/after diff below is against what
+  // this address range really did before the change. Atoms are never
+  // removed, so the vectors grow to exactly their count.
+  graphs_.reserve(index_.num_atoms());
+  graphs_.resize(index_.num_atoms());
+  reaches_.reserve(index_.num_atoms());
+  reaches_.resize(index_.num_atoms());
+  for (auto [child, parent] : splits) {
+    reaches_[child] = reaches_[parent];
+    affected.push_back(child);
   }
   if (all_dirty) {
-    affected.clear();
-    for (EcId ec = 0; ec < index_.num_atoms(); ++ec) affected.insert(ec);
+    affected.resize(index_.num_atoms());
+    for (EcId ec = 0; ec < affected.size(); ++ec) affected[ec] = ec;
+  } else {
+    std::sort(affected.begin(), affected.end());
+    affected.erase(std::unique(affected.begin(), affected.end()),
+                   affected.end());
   }
   timers_.add("ec-index", sw.elapsed_seconds());
   sw.reset();
@@ -301,18 +355,23 @@ ReachDelta Verifier::apply(
   // ---- Re-verify affected atoms and diff --------------------------------
   ReachDelta out;
   const size_t n = snap_->topology.num_nodes();
+  // Swapping the old reach out leaves the previous EC's in its slot, whose
+  // storage verify_ec reuses.
+  EcReach old_reach;
   for (EcId ec : affected) {
-    EcReach old_reach = std::move(reaches_.at(ec));
+    std::swap(old_reach, reaches_[ec]);
     verify_ec(ec);
     const EcReach& now = reaches_[ec];
     const auto& range = index_.range(ec);
     for (topo::NodeId src = 0; src < n; ++src) {
       const DynamicBitset& before = old_reach.delivered[src];
-      for (uint32_t dst : now.delivered[src].minus(before)) {
-        out.gained.push_back({src, dst, range.lo, range.hi});
-      }
-      for (uint32_t dst : before.minus(now.delivered[src])) {
-        out.lost.push_back({src, dst, range.lo, range.hi});
+      if (now.delivered[src] != before) {
+        for (uint32_t dst : now.delivered[src].minus(before)) {
+          out.gained.push_back({src, dst, range.lo, range.hi});
+        }
+        for (uint32_t dst : before.minus(now.delivered[src])) {
+          out.lost.push_back({src, dst, range.lo, range.hi});
+        }
       }
       const bool loop_before = old_reach.loop.test(src);
       const bool loop_now = now.loop.test(src);
@@ -330,7 +389,7 @@ ReachDelta Verifier::apply(
       }
     }
   }
-  last_affected_.assign(affected.begin(), affected.end());
+  last_affected_ = std::move(affected);
   timers_.add("verify", sw.elapsed_seconds());
   out.canonicalize();
   return out;
@@ -339,7 +398,8 @@ ReachDelta Verifier::apply(
 std::vector<ReachFact> Verifier::all_reach_facts() const {
   std::vector<ReachFact> facts;
   const size_t n = snap_->topology.num_nodes();
-  for (const auto& [ec, reach] : reaches_) {
+  for (EcId ec = 0; ec < reaches_.size(); ++ec) {
+    const EcReach& reach = reaches_[ec];
     const auto& range = index_.range(ec);
     for (topo::NodeId src = 0; src < n; ++src) {
       for (uint32_t dst : reach.delivered[src].to_indices()) {
@@ -353,9 +413,9 @@ std::vector<ReachFact> Verifier::all_reach_facts() const {
 
 std::vector<FlagFact> Verifier::all_loop_facts() const {
   std::vector<FlagFact> facts;
-  for (const auto& [ec, reach] : reaches_) {
+  for (EcId ec = 0; ec < reaches_.size(); ++ec) {
     const auto& range = index_.range(ec);
-    for (uint32_t src : reach.loop.to_indices()) {
+    for (uint32_t src : reaches_[ec].loop.to_indices()) {
       facts.push_back({src, range.lo, range.hi});
     }
   }
@@ -365,9 +425,9 @@ std::vector<FlagFact> Verifier::all_loop_facts() const {
 
 std::vector<FlagFact> Verifier::all_blackhole_facts() const {
   std::vector<FlagFact> facts;
-  for (const auto& [ec, reach] : reaches_) {
+  for (EcId ec = 0; ec < reaches_.size(); ++ec) {
     const auto& range = index_.range(ec);
-    for (uint32_t src : reach.blackhole.to_indices()) {
+    for (uint32_t src : reaches_[ec].blackhole.to_indices()) {
       facts.push_back({src, range.lo, range.hi});
     }
   }

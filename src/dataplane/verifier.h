@@ -11,11 +11,22 @@
 // names the affected atoms, so the core engine re-evaluates only the
 // invariants whose traffic overlaps one.
 //
+// Re-verifying an atom is one LPM lookup per node and one reachability pass
+// over the resulting graph (reach.h), not one walk per source. Each node's
+// LPM table is patched from its FIB delta. A FIB entry whose metric or
+// protocol alone changed dirties nothing, since the graph reads only an
+// entry's action and hops.
+//
 // Beyond FIBs and ACLs, the data plane reads two things from interface
 // configs: each node's probe source address and whether a link's two
-// interfaces are enabled. An interface edit that changes either re-verifies
-// every atom; any other (an OSPF cost, a passive flag) reaches the data
-// plane through the FIB delta alone.
+// interfaces are enabled. The verifier caches both, with each link
+// direction's bound ACL rule lists, in the EdgeTable the pass reads, and
+// refreshes them only for the nodes a change names. An interface edit that
+// enables or disables a link's interface re-verifies every atom. A moved
+// probe source matters only to ACL verdicts, so it does the same only when
+// some interface binds an ACL before or after the change. Any other
+// interface edit (an OSPF cost, a passive flag) reaches the data plane
+// through the FIB delta alone.
 #pragma once
 
 #include <map>
@@ -67,15 +78,21 @@ void canonicalize_facts(std::vector<FlagFact>& facts);
 
 class Verifier {
  public:
-  /// Full verification. Both pointees must outlive the verifier and remain
-  /// at stable addresses (the core engine owns them).
+  /// Full verification. The snapshot must outlive the verifier and remain
+  /// at a stable address (the core engine owns it); the FIBs are read here
+  /// only.
   Verifier(const topo::Snapshot* snapshot, const std::vector<cp::Fib>* fibs);
 
+  // The edge table points into the verifier's own ACL cache.
+  Verifier(const Verifier&) = delete;
+  Verifier& operator=(const Verifier&) = delete;
+
   /// Incremental re-verification after the control plane advanced.
-  /// `snapshot`/`fibs` are the post-change pointers (may be the same
-  /// objects, mutated). Returns the canonical reachability delta.
+  /// `snapshot` is the post-change snapshot (may be the same object,
+  /// mutated). `fib_delta` must be every FIB change since the last
+  /// build/apply: the LPM tables are patched from it. Returns the canonical
+  /// reachability delta.
   ReachDelta apply(const topo::Snapshot* snapshot,
-                   const std::vector<cp::Fib>* fibs,
                    const cp::FibDelta& fib_delta,
                    const std::vector<config::ConfigChange>& config_changes);
 
@@ -88,6 +105,9 @@ class Verifier {
   size_t num_ecs() const { return index_.num_atoms(); }
   const EcGraph& graph(EcId ec) const { return graphs_.at(ec); }
   const EcReach& reach(EcId ec) const { return reaches_.at(ec); }
+  /// Link state, bound ACLs and probe sources: what a probe crossing an
+  /// edge reads (EdgeTable::permits), for path and waypoint walks.
+  const EdgeTable& edges() const { return edges_; }
 
   /// ECs re-verified by the last apply() (experiment F4's numerator).
   size_t last_affected_ecs() const { return last_affected_.size(); }
@@ -100,11 +120,16 @@ class Verifier {
   const StageTimers& timers() const { return timers_; }
 
  private:
-  void insert_all_prefixes();
+  void insert_all_prefixes(const std::vector<cp::Fib>& fibs);
+  /// Re-caches the node's ACLs and bindings, and re-points the rule lists
+  /// its link ends bind in edges_.
   void refresh_acl_cache(topo::NodeId node);
-  /// Re-reads the node's probe source and its links' interface state;
-  /// returns whether either changed.
-  bool refresh_interface_cache(topo::NodeId node);
+  struct InterfaceRefresh {
+    bool probe_source_moved = false;
+    bool link_enabled_changed = false;
+  };
+  /// Re-reads the node's probe source and its links' interface state.
+  InterfaceRefresh refresh_interface_cache(topo::NodeId node);
   void verify_ec(EcId ec);
 
   /// Destination prefixes whose packets can behave differently after an
@@ -117,24 +142,21 @@ class Verifier {
       const std::vector<config::AclRule>& after);
 
   const topo::Snapshot* snap_;
-  const std::vector<cp::Fib>* fibs_;
   std::vector<LpmTable> lpm_;
   EcIndex index_;
-  std::map<EcId, EcGraph> graphs_;
-  std::map<EcId, EcReach> reaches_;
+  std::vector<EcGraph> graphs_;   // by EcId
+  std::vector<EcReach> reaches_;  // by EcId
   /// Full rule lists per (node, acl) as of the last build/apply, so an ACL
-  /// edit can invalidate exactly the atoms the *changed rules* cover.
-  std::map<std::pair<topo::NodeId, std::string>,
-           std::vector<config::AclRule>>
-      acl_rules_cache_;
+  /// edit can invalidate exactly the atoms the *changed rules* cover. The
+  /// first of two same-named ACLs wins, as in config::NodeConfig::find_acl.
+  std::map<std::pair<topo::NodeId, std::string>, AclRules> acl_rules_cache_;
   /// (acl_in, acl_out) per (node, interface) as of the last build/apply.
   std::map<std::pair<topo::NodeId, std::string>,
            std::pair<std::string, std::string>>
       binding_cache_;
-  /// Probe source per node and "both interfaces enabled" per link, as of
-  /// the last build/apply.
-  std::vector<Ipv4Addr> probe_sources_;
-  std::vector<bool> links_enabled_;
+  /// Link state and probe sources as of the last build/apply; its rule
+  /// lists point into acl_rules_cache_.
+  EdgeTable edges_;
 
   /// The rule list an interface binding named `acl_name` effectively
   /// enforced before this batch (cache lookup; absent = permit-all).

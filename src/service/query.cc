@@ -374,7 +374,7 @@ QueryResult eval_query(const Query& query, const Version& version,
         const topo::Snapshot& snapshot = engine.snapshot();
         const topo::NodeId src = snapshot.topology.node_id(query.src);
         const auto paths =
-            core::forwarding_paths(engine.verifier(), snapshot, src, query.dst);
+            core::forwarding_paths(engine.verifier(), src, query.dst);
         if (paths.empty()) {
           body << "no forwarding paths";
         } else {

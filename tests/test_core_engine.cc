@@ -297,10 +297,12 @@ INSTANTIATE_TEST_SUITE_P(Cases, ModeEquivalence, ::testing::ValuesIn(cases),
 
 TEST(DnaEngine, InterfaceEditReverifiesEveryEcOnlyWhenTheDataPlaneReadsIt) {
   // Beyond FIBs and ACLs the data plane reads a node's probe source and
-  // whether a link's interfaces are enabled. Other interface edits reach
-  // it through the FIB delta alone.
+  // whether a link's interfaces are enabled. A probe source matters only to
+  // ACL verdicts, and this ring binds no ACL. Other interface edits reach
+  // the data plane through the FIB delta alone.
   const Snapshot base = topo::make_ring(6);
   DnaEngine engine(base);
+  DnaEngine monolithic(base);
   auto affected = [&](const Snapshot& target) {
     const NetworkDiff diff = engine.preview(target, Mode::kDifferential);
     return std::pair(diff.affected_ecs, diff.total_ecs);
@@ -309,7 +311,10 @@ TEST(DnaEngine, InterfaceEditReverifiesEveryEcOnlyWhenTheDataPlaneReadsIt) {
   loopback.config_of("r2").find_interface("lo")->address =
       Ipv4Addr(172, 16, 9, 9);
   const auto [moved, all] = affected(loopback);
-  EXPECT_EQ(moved, all);
+  EXPECT_LT(moved, all);
+  expect_same_semantic_diff(engine.preview(loopback, Mode::kDifferential),
+                            monolithic.preview(loopback, Mode::kMonolithic),
+                            "loopback without ACLs");
   EXPECT_EQ(affected(topo::with_interface_enabled(base, "r2", "eth0", false))
                 .first,
             all);
@@ -319,20 +324,41 @@ TEST(DnaEngine, InterfaceEditReverifiesEveryEcOnlyWhenTheDataPlaneReadsIt) {
             all);
 }
 
+TEST(DnaEngine, ProbeSourceMoveReverifiesEveryEcWhenAnAclIsBound) {
+  // r3 drops packets from r2's old loopback. Moving it changes r2's reach
+  // in ECs whose FIB entries do not change, so every EC is re-verified.
+  const Snapshot base = with_source_block(
+      topo::make_ring(6), "r3", Ipv4Prefix(Ipv4Addr(172, 16, 0, 2), 32));
+  Snapshot target = base;
+  target.config_of("r2").find_interface("lo")->address =
+      Ipv4Addr(172, 16, 9, 9);
+  DnaEngine differential(base);
+  DnaEngine monolithic(base);
+  const NetworkDiff diff = differential.preview(target, Mode::kDifferential);
+  EXPECT_EQ(diff.affected_ecs, diff.total_ecs);
+  EXPECT_FALSE(diff.reach_delta.gained.empty());
+  expect_same_semantic_diff(diff,
+                            monolithic.preview(target, Mode::kMonolithic),
+                            "loopback past a source ACL");
+}
+
 TEST(DnaEngine, CostOnlyEditReverifiesWhatItsFibDeltaNames) {
   // A cost edit changes no probe source and no interface's enabled state,
-  // so only the ECs of the prefixes whose FIB entries changed are
+  // so only the ECs of the prefixes whose forwarding changed are
   // re-verified, not all 175: on average no more than a link failure's
   // (136). Every fat-tree link is like link 0 (edge-aggregation) or link 9
-  // (aggregation-core), and the two tiers have equally many links.
+  // (aggregation-core), and the two tiers have equally many links. The
+  // link's own /30 changes only in metric, at every node, and so dirties
+  // no EC: 136 and 130 ECs re-verify.
   Snapshot base = topo::make_fattree(6);
   DnaEngine differential(base);
   DnaEngine monolithic(base);
   size_t affected = 0;
-  for (uint32_t link : {0u, 9u}) {
+  for (const auto [link, expected] : {std::pair{0u, 136u}, {9u, 130u}}) {
     Snapshot target = topo::with_link_cost(base, link, 60);
     NetworkDiff diff = differential.preview(target, Mode::kDifferential);
     EXPECT_LT(diff.affected_ecs, diff.total_ecs) << "link " << link;
+    EXPECT_EQ(diff.affected_ecs, expected) << "link " << link;
     affected += diff.affected_ecs;
     expect_same_semantic_diff(diff,
                               monolithic.preview(target, Mode::kMonolithic),

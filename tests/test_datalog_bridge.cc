@@ -35,15 +35,13 @@ TEST(DatalogBridge, IncrementalSyncTracksChanges) {
   // Fail a link, advance both layers, re-sync only deltas.
   Snapshot broken = topo::with_link_state(snap, 0, false);
   cp::AdvanceResult result = engine.advance(broken);
-  verifier.apply(&engine.snapshot(), &engine.fibs(), result.fib_delta,
-                 result.config_changes);
+  verifier.apply(&engine.snapshot(), result.fib_delta, result.config_changes);
   bridge.sync(verifier);
   EXPECT_EQ(bridge.mismatches(verifier), 0u);
 
   // And back up.
   result = engine.advance(snap);
-  verifier.apply(&engine.snapshot(), &engine.fibs(), result.fib_delta,
-                 result.config_changes);
+  verifier.apply(&engine.snapshot(), result.fib_delta, result.config_changes);
   bridge.sync(verifier);
   EXPECT_EQ(bridge.mismatches(verifier), 0u);
 }
@@ -63,8 +61,7 @@ TEST(DatalogBridge, AllStrategiesAgree) {
 
   Snapshot changed = topo::with_link_cost(snap, 1, 60);
   cp::AdvanceResult result = engine.advance(changed);
-  verifier.apply(&engine.snapshot(), &engine.fibs(), result.fib_delta,
-                 result.config_changes);
+  verifier.apply(&engine.snapshot(), result.fib_delta, result.config_changes);
   for (DatalogBridge* bridge : {&counting, &dred, &recompute}) {
     bridge->sync(verifier);
     EXPECT_EQ(bridge->mismatches(verifier), 0u);
@@ -90,8 +87,7 @@ TEST(DatalogBridge, ChurnStaysConsistent) {
                               snap, link, !snap.topology.link(link).up);
     snap = std::move(next);
     cp::AdvanceResult result = engine.advance(snap);
-    verifier.apply(&engine.snapshot(), &engine.fibs(), result.fib_delta,
-                   result.config_changes);
+    verifier.apply(&engine.snapshot(), result.fib_delta, result.config_changes);
     bridge.sync(verifier);
     ASSERT_EQ(bridge.mismatches(verifier), 0u) << "step " << step;
   }

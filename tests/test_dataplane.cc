@@ -2,10 +2,12 @@
 // reachability semantics (delivery, ECMP, loops, blackholes).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "controlplane/engine.h"
 #include "dataplane/acl_eval.h"
 #include "dataplane/ectrie.h"
-#include "dataplane/reach.h"
+#include "dataplane/verifier.h"
 #include "topo/generators.h"
 #include "topo/mutators.h"
 #include "util/rng.h"
@@ -155,17 +157,16 @@ TEST(Acl, L4RulesNeverMatchProbes) {
 struct Plane {
   Snapshot snap;
   std::vector<cp::Fib> fibs;
-  std::vector<LpmTable> lpm;
+  std::unique_ptr<Verifier> verifier;
 
   explicit Plane(Snapshot s) : snap(std::move(s)) {
     fibs = cp::ControlPlaneEngine::compute_fibs(snap);
-    lpm.resize(fibs.size());
-    for (size_t i = 0; i < fibs.size(); ++i) lpm[i].rebuild(fibs[i]);
+    verifier = std::make_unique<Verifier>(&snap, &fibs);
   }
 
-  EcReach reach_for(Ipv4Addr dst) const {
-    EcGraph graph = build_ec_graph(snap, lpm, dst);
-    return compute_reach(snap, graph, dst);
+  const EcReach& reach_for(Ipv4Addr dst) const {
+    return verifier->reach(
+        verifier->ec_index().covering(Ipv4Prefix(dst, 32))[0]);
   }
 };
 

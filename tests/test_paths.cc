@@ -25,8 +25,7 @@ struct Fixture {
 
 TEST(Paths, LineHasExactlyOnePath) {
   Fixture fx(topo::make_line(4));
-  auto paths = forwarding_paths(*fx.verifier, fx.engine->snapshot(),
-                                fx.snap.topology.node_id("r0"),
+  auto paths = forwarding_paths(*fx.verifier, fx.snap.topology.node_id("r0"),
                                 Ipv4Addr(172, 31, 1, 5));
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].outcome, ForwardingPath::Outcome::kDelivered);
@@ -39,8 +38,7 @@ TEST(Paths, LineHasExactlyOnePath) {
 
 TEST(Paths, RingEcmpYieldsTwoPaths) {
   Fixture fx(topo::make_ring(4));
-  auto paths = forwarding_paths(*fx.verifier, fx.engine->snapshot(),
-                                fx.snap.topology.node_id("r0"),
+  auto paths = forwarding_paths(*fx.verifier, fx.snap.topology.node_id("r0"),
                                 Ipv4Addr(172, 31, 1, 9));
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_NE(paths[0].nodes, paths[1].nodes);
@@ -51,8 +49,7 @@ TEST(Paths, RingEcmpYieldsTwoPaths) {
 
 TEST(Paths, NoRouteReportsDrop) {
   Fixture fx(topo::make_line(2));
-  auto paths = forwarding_paths(*fx.verifier, fx.engine->snapshot(),
-                                fx.snap.topology.node_id("r0"),
+  auto paths = forwarding_paths(*fx.verifier, fx.snap.topology.node_id("r0"),
                                 Ipv4Addr(8, 8, 8, 8));
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].outcome, ForwardingPath::Outcome::kDropped);
@@ -67,8 +64,7 @@ TEST(Paths, StaticLoopReportsLoop) {
   snap = topo::with_static_route(snap, "r0", bogus, b_addr);
   snap = topo::with_static_route(snap, "r1", bogus, a_addr);
   Fixture fx(std::move(snap));
-  auto paths = forwarding_paths(*fx.verifier, fx.engine->snapshot(),
-                                fx.snap.topology.node_id("r0"),
+  auto paths = forwarding_paths(*fx.verifier, fx.snap.topology.node_id("r0"),
                                 Ipv4Addr(198, 18, 0, 1));
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].outcome, ForwardingPath::Outcome::kLooped);
@@ -79,12 +75,10 @@ TEST(Paths, DiffShowsReroute) {
   Fixture before(base);
   auto src = base.topology.node_id("r0");
   Ipv4Addr dst(172, 31, 1, 7);  // hosted at r3
-  auto paths_before = forwarding_paths(*before.verifier,
-                                       before.engine->snapshot(), src, dst);
+  auto paths_before = forwarding_paths(*before.verifier, src, dst);
 
   Fixture after(topo::with_link_cost(base, 0, 90));
-  auto paths_after =
-      forwarding_paths(*after.verifier, after.engine->snapshot(), src, dst);
+  auto paths_after = forwarding_paths(*after.verifier, src, dst);
 
   PathDiff diff = diff_paths(paths_before, paths_after);
   EXPECT_FALSE(diff.empty());
@@ -99,11 +93,9 @@ TEST(Paths, DiffShowsReroute) {
 TEST(Paths, MaxPathsTruncatesEnumeration) {
   Fixture fx(topo::make_fattree(4));
   // Edge-to-edge across pods: 2 aggs x 2 cores x ... several ECMP paths.
-  auto all = forwarding_paths(*fx.verifier, fx.engine->snapshot(),
-                              fx.snap.topology.node_id("sw0"),
+  auto all = forwarding_paths(*fx.verifier, fx.snap.topology.node_id("sw0"),
                               Ipv4Addr(172, 31, 7, 1), 64);
-  auto capped = forwarding_paths(*fx.verifier, fx.engine->snapshot(),
-                                 fx.snap.topology.node_id("sw0"),
+  auto capped = forwarding_paths(*fx.verifier, fx.snap.topology.node_id("sw0"),
                                  Ipv4Addr(172, 31, 7, 1), 2);
   EXPECT_GT(all.size(), 2u);
   EXPECT_EQ(capped.size(), 2u);

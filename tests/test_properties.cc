@@ -49,10 +49,10 @@ TEST(Properties, WaypointOnLineHoldsAndBreaksWithDetour) {
     return fx.current().topology.node_id(name);
   };
   // All r0 -> r3 traffic passes r1 and r2 on a line.
-  EXPECT_TRUE(dp::waypoint_enforced(*fx.verifier, fx.current(), id("r0"),
-                                    id("r3"), id("r1"), host(1)));
-  EXPECT_TRUE(dp::waypoint_enforced(*fx.verifier, fx.current(), id("r0"),
-                                    id("r3"), id("r2"), host(1)));
+  EXPECT_TRUE(dp::waypoint_enforced(*fx.verifier, id("r0"), id("r3"), id("r1"),
+                                    host(1)));
+  EXPECT_TRUE(dp::waypoint_enforced(*fx.verifier, id("r0"), id("r3"), id("r2"),
+                                    host(1)));
 }
 
 TEST(Properties, WaypointNotEnforcedWithEcmpDetour) {
@@ -60,8 +60,8 @@ TEST(Properties, WaypointNotEnforcedWithEcmpDetour) {
   auto id = [&](const char* name) {
     return fx.current().topology.node_id(name);
   };
-  EXPECT_FALSE(dp::waypoint_enforced(*fx.verifier, fx.current(), id("r0"),
-                                     id("r2"), id("r1"), host(1)));
+  EXPECT_FALSE(dp::waypoint_enforced(*fx.verifier, id("r0"), id("r2"),
+                                     id("r1"), host(1)));
 }
 
 TEST(Invariants, DescribeAndEvaluate) {

@@ -219,7 +219,7 @@ TEST(DnaService, AnswersMatchADirectEngine) {
   QueryResult paths = service.query("paths r0 172.31.1.1");
   core::DnaEngine engine(base);
   const auto expected = core::forwarding_paths(
-      engine.verifier(), engine.snapshot(), 0, Ipv4Addr(172, 31, 1, 1));
+      engine.verifier(), 0, Ipv4Addr(172, 31, 1, 1));
   size_t found = 0;
   for (const auto& path : expected) {
     if (paths.body.find(path.str(base.topology)) != std::string::npos) {

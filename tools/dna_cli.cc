@@ -218,9 +218,8 @@ int cmd_paths(const std::string& topo_path, const std::string& cfg_path,
   auto addr = Ipv4Addr::parse(dst);
   if (!addr) throw Error("bad destination address: " + dst);
   core::DnaEngine engine(snap);
-  auto paths = core::forwarding_paths(engine.verifier(), engine.snapshot(),
-                                      engine.snapshot().topology.node_id(src),
-                                      *addr);
+  auto paths = core::forwarding_paths(
+      engine.verifier(), engine.snapshot().topology.node_id(src), *addr);
   if (paths.empty()) {
     std::cout << "no forwarding paths\n";
     return 1;
