@@ -126,8 +126,8 @@ void BgpSim::build(const topo::Snapshot& snapshot) {
       work.insert({node, prefix});
     }
   }
-  std::set<topo::NodeId> dirty;
-  converge(snapshot, work, dirty);
+  std::vector<RouteKey> changed;
+  converge(snapshot, work, changed);
 }
 
 const BgpSim::Session* BgpSim::find_session(topo::NodeId node,
@@ -286,7 +286,7 @@ void BgpSim::resend_all(const topo::Snapshot& snapshot,
 }
 
 void BgpSim::converge(const topo::Snapshot& snapshot, Worklist& work,
-                      std::set<topo::NodeId>& dirty) {
+                      std::vector<RouteKey>& changed) {
   size_t guard = 0;
   const size_t limit =
       1000 + 200 * snapshot.topology.num_nodes() *
@@ -295,11 +295,13 @@ void BgpSim::converge(const topo::Snapshot& snapshot, Worklist& work,
     DNA_CHECK_MSG(++guard < limit * 100, "BGP failed to converge");
     auto [node, prefix] = *work.begin();
     work.erase(work.begin());
-    if (process(snapshot, node, prefix, work)) dirty.insert(node);
+    if (process(snapshot, node, prefix, work)) {
+      changed.emplace_back(node, prefix);
+    }
   }
 }
 
-std::set<topo::NodeId> BgpSim::update(
+std::vector<RouteKey> BgpSim::update(
     const topo::Snapshot& snapshot,
     const std::vector<config::ConfigChange>& changes,
     const std::set<topo::NodeId>& ospf_dirty) {
@@ -307,7 +309,6 @@ std::set<topo::NodeId> BgpSim::update(
   DNA_CHECK_MSG(best_.size() == n, "node count changed; rebuild required");
   work_items_ = 0;
   Worklist work;
-  std::set<topo::NodeId> dirty;
 
   // ---- Session diff --------------------------------------------------------
   std::vector<Session> next_sessions = derive_sessions(snapshot);
@@ -398,8 +399,11 @@ std::set<topo::NodeId> BgpSim::update(
     }
   }
 
-  converge(snapshot, work, dirty);
-  return dirty;
+  std::vector<RouteKey> changed;
+  converge(snapshot, work, changed);
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  return changed;
 }
 
 }  // namespace dna::cp

@@ -55,10 +55,12 @@ class BgpSim {
 
   /// Incremental move to `snapshot`; `changes` identifies policy edits that
   /// require re-import/re-export. `ospf_dirty` lists nodes whose OSPF routes
-  /// changed (feeds redistribution). Returns nodes whose Loc-RIB changed.
-  std::set<topo::NodeId> update(const topo::Snapshot& snapshot,
-                                const std::vector<config::ConfigChange>& changes,
-                                const std::set<topo::NodeId>& ospf_dirty);
+  /// changed (feeds redistribution). Returns the (node, prefix) pairs whose
+  /// Loc-RIB entry changed, sorted and unique. A pair whose entry changed
+  /// and changed back during convergence is listed too.
+  std::vector<RouteKey> update(const topo::Snapshot& snapshot,
+                               const std::vector<config::ConfigChange>& changes,
+                               const std::set<topo::NodeId>& ospf_dirty);
 
   const std::map<Ipv4Prefix, Best>& best(topo::NodeId node) const {
     return best_.at(node);
@@ -88,8 +90,10 @@ class BgpSim {
   std::map<Ipv4Prefix, BgpRoute> derive_originations(
       const topo::Snapshot& snapshot, topo::NodeId node) const;
 
+  /// Processes the worklist to a fixed point, appending each pair whose
+  /// Loc-RIB entry changed to `changed` (possibly more than once).
   void converge(const topo::Snapshot& snapshot, Worklist& work,
-                std::set<topo::NodeId>& dirty);
+                std::vector<RouteKey>& changed);
   /// Recomputes the best route at (node, prefix); updates Loc-RIB and
   /// advertises changes. Returns true if the Loc-RIB entry changed.
   bool process(const topo::Snapshot& snapshot, topo::NodeId node,

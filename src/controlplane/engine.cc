@@ -1,5 +1,7 @@
 #include "controlplane/engine.h"
 
+#include <algorithm>
+
 namespace dna::cp {
 
 namespace {
@@ -8,6 +10,30 @@ namespace {
 template <typename Process>
 bool redistributes_statics(const Process& process) {
   return process.enabled && process.redistribute_static;
+}
+
+FibEntry ospf_fib_entry(const Ipv4Prefix& prefix, const OspfRoute& route) {
+  FibEntry entry;
+  entry.prefix = prefix;
+  entry.action = FibEntry::Action::kForward;
+  entry.protocol = Protocol::kOspf;
+  entry.metric = route.metric;
+  entry.hops = route.hops;
+  return entry;
+}
+
+FibEntry bgp_fib_entry(const Ipv4Prefix& prefix, const BgpSim::Best& best) {
+  FibEntry entry;
+  entry.prefix = prefix;
+  entry.protocol = best.ebgp || best.local ? Protocol::kEbgp
+                                           : Protocol::kIbgp;
+  if (best.local) {
+    entry.action = FibEntry::Action::kLocal;
+  } else {
+    entry.action = FibEntry::Action::kForward;
+    entry.hops.push_back({best.via, best.link});
+  }
+  return entry;
 }
 
 }  // namespace
@@ -29,8 +55,10 @@ void ControlPlaneEngine::full_build() {
   sw.reset();
   fibs_.clear();
   fibs_.reserve(snap_.topology.num_nodes());
+  fib_merges_ = 0;
   for (topo::NodeId node = 0; node < snap_.topology.num_nodes(); ++node) {
     fibs_.push_back(build_fib(node));
+    fib_merges_ += fibs_.back().size();
   }
   timers_.add("fib", sw.elapsed_seconds());
 }
@@ -40,28 +68,72 @@ Fib ControlPlaneEngine::build_fib(topo::NodeId node) const {
   add_connected_routes(snap_, node, candidates);
   add_static_routes(snap_, node, candidates);
   for (const auto& [prefix, route] : ospf_.routes(node)) {
-    FibEntry entry;
-    entry.prefix = prefix;
-    entry.action = FibEntry::Action::kForward;
-    entry.protocol = Protocol::kOspf;
-    entry.metric = route.metric;
-    entry.hops = route.hops;
-    candidates[prefix].push_back(std::move(entry));
+    candidates[prefix].push_back(ospf_fib_entry(prefix, route));
   }
   for (const auto& [prefix, best] : bgp_.best(node)) {
-    FibEntry entry;
-    entry.prefix = prefix;
-    entry.protocol = best.ebgp || best.local ? Protocol::kEbgp
-                                             : Protocol::kIbgp;
-    if (best.local) {
-      entry.action = FibEntry::Action::kLocal;
-    } else {
-      entry.action = FibEntry::Action::kForward;
-      entry.hops.push_back({best.via, best.link});
-    }
-    candidates[prefix].push_back(std::move(entry));
+    candidates[prefix].push_back(bgp_fib_entry(prefix, best));
   }
   return merge_to_fib(std::move(candidates));
+}
+
+std::optional<FibEntry> ControlPlaneEngine::merge_entry(
+    topo::NodeId node, const Ipv4Prefix& prefix) const {
+  // The candidates build_fib would gather for this prefix, in its order.
+  std::vector<FibEntry> candidates;
+  const config::NodeConfig& cfg = snap_.configs[node];
+  for (const auto& iface : cfg.interfaces) {
+    if (iface.enabled && iface.subnet() == prefix) {
+      candidates.push_back(connected_fib_entry(iface));
+    }
+  }
+  for (const auto& route : cfg.static_routes) {
+    if (route.prefix != prefix) continue;
+    if (auto entry = resolve_static_route(snap_, node, route)) {
+      candidates.push_back(std::move(*entry));
+    }
+  }
+  const auto& ospf_routes = ospf_.routes(node);
+  if (auto it = ospf_routes.find(prefix); it != ospf_routes.end()) {
+    candidates.push_back(ospf_fib_entry(prefix, it->second));
+  }
+  const auto& bgp_best = bgp_.best(node);
+  if (auto it = bgp_best.find(prefix); it != bgp_best.end()) {
+    candidates.push_back(bgp_fib_entry(prefix, it->second));
+  }
+  if (candidates.empty()) return std::nullopt;
+  return merge_candidates(candidates);
+}
+
+void ControlPlaneEngine::patch_entry(topo::NodeId node,
+                                     const Ipv4Prefix& prefix,
+                                     FibDelta& fib_delta) {
+  Fib& fib = fibs_[node];
+  const auto it = std::lower_bound(
+      fib.begin(), fib.end(), prefix,
+      [](const FibEntry& entry, const Ipv4Prefix& p) {
+        return entry.prefix < p;
+      });
+  const bool present = it != fib.end() && it->prefix == prefix;
+  std::optional<FibEntry> next = merge_entry(node, prefix);
+  if (!present && !next) return;
+  if (present && next && *it == *next) return;
+
+  NodeFibDelta& delta = fib_delta.by_node[node];
+  if (present) delta.removed.push_back(std::move(*it));
+  if (!next) {
+    fib.erase(it);
+    return;
+  }
+  delta.added.push_back(*next);
+  if (present) {
+    *it = std::move(*next);
+    return;
+  }
+  // A full table grows by this one entry, not by doubling: tables are built
+  // at exact size, and an insertion is often undone by the next advance.
+  const auto at = it - fib.begin();
+  if (fib.size() == fib.capacity()) fib.reserve(fib.size() + 1);
+  fib.insert(fib.begin() + at, std::move(*next));
 }
 
 AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
@@ -99,17 +171,32 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
     return result;
   }
 
-  // Which stages the change feeds. A node whose only edits are ACLs or ACL
-  // bindings feeds none of them: its FIB stays as it is.
+  // Which stages the change feeds, and the (node, prefix) pairs it feeds
+  // the FIB stage directly: what add_connected_routes and add_static_routes
+  // read, before and after. ACLs and ACL bindings feed no stage.
   bool ospf_input = !result.link_changes.empty();
   bool bgp_input = ospf_input;
-  std::set<topo::NodeId> dirty;
+  std::vector<RouteKey> merges;
+  auto add_connected_keys = [&](topo::NodeId node) {
+    for (const topo::Snapshot* s : {&snap_, &target}) {
+      for (const auto& iface : s->configs[node].interfaces) {
+        merges.emplace_back(node, iface.subnet());
+      }
+    }
+  };
+  auto add_static_keys = [&](topo::NodeId node) {
+    for (const topo::Snapshot* s : {&snap_, &target}) {
+      for (const auto& route : s->configs[node].static_routes) {
+        merges.emplace_back(node, route.prefix);
+      }
+    }
+  };
   for (const auto& change : result.config_changes) {
     const topo::NodeId node = target.topology.node_id(change.node);
     switch (change.kind) {
       case config::ChangeKind::kAclChanged:
       case config::ChangeKind::kInterfaceAclBinding:
-        continue;
+        break;
       case config::ChangeKind::kStaticRoutesChanged: {
         const config::NodeConfig& before = snap_.config_of(change.node);
         const config::NodeConfig& after = target.configs[node];
@@ -117,11 +204,23 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
                      redistributes_statics(after.ospf);
         bgp_input = bgp_input || redistributes_statics(before.bgp) ||
                     redistributes_statics(after.bgp);
+        add_static_keys(node);
         break;
       }
       case config::ChangeKind::kInterfaceAdded:
       case config::ChangeKind::kInterfaceRemoved:
       case config::ChangeKind::kInterfaceModified:
+        ospf_input = bgp_input = true;
+        add_connected_keys(node);
+        add_static_keys(node);
+        // The peer's static routes resolve over this interface.
+        for (uint32_t index : target.topology.links_of(node)) {
+          const topo::Link& link = target.topology.link(index);
+          if (link.if_of(node) == change.detail) {
+            add_static_keys(link.peer_of(node));
+          }
+        }
+        break;
       case config::ChangeKind::kOspfChanged:
         ospf_input = bgp_input = true;
         break;
@@ -137,39 +236,39 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
       case config::ChangeKind::kNodeRemoved:
         break;  // unreachable: a node-set change rebuilt everything above
     }
-    dirty.insert(node);
   }
-
-  std::set<topo::NodeId> ospf_dirty;
-  if (ospf_input) {
-    sw.reset();
-    ospf_dirty = ospf_.update(target);
-    timers_.add("ospf", sw.elapsed_seconds());
-  }
-  if (bgp_input || !ospf_dirty.empty()) {
-    sw.reset();
-    std::set<topo::NodeId> bgp_dirty =
-        bgp_.update(target, result.config_changes, ospf_dirty);
-    timers_.add("bgp", sw.elapsed_seconds());
-    dirty.insert(bgp_dirty.begin(), bgp_dirty.end());
-  }
-  dirty.insert(ospf_dirty.begin(), ospf_dirty.end());
   for (const auto& change : result.link_changes) {
     const topo::Link& link = target.topology.link(change.link);
-    dirty.insert(link.a);
-    dirty.insert(link.b);
+    add_static_keys(link.a);
+    add_static_keys(link.b);
   }
 
+  std::vector<RouteKey> ospf_changed;
+  if (ospf_input) {
+    sw.reset();
+    ospf_changed = ospf_.update(target);
+    timers_.add("ospf", sw.elapsed_seconds());
+  }
+  if (bgp_input || !ospf_changed.empty()) {
+    sw.reset();
+    const std::vector<RouteKey> bgp_changed =
+        bgp_.update(target, result.config_changes, nodes_of(ospf_changed));
+    timers_.add("bgp", sw.elapsed_seconds());
+    merges.insert(merges.end(), bgp_changed.begin(), bgp_changed.end());
+  }
+  merges.insert(merges.end(), ospf_changed.begin(), ospf_changed.end());
+
   snap_ = std::move(target);
-  if (dirty.empty()) return result;
+  fib_merges_ = 0;
+  if (merges.empty()) return result;
   sw.reset();
-  for (topo::NodeId node : dirty) {
-    Fib next = build_fib(node);
-    NodeFibDelta delta = diff_fib(fibs_[node], next);
-    if (!delta.empty()) {
-      result.fib_delta.by_node.emplace(node, std::move(delta));
-      fibs_[node] = std::move(next);
-    }
+  // Sorted by node, then prefix, so each node's delta lists its changes in
+  // prefix order, as diff_fib would.
+  std::sort(merges.begin(), merges.end());
+  merges.erase(std::unique(merges.begin(), merges.end()), merges.end());
+  fib_merges_ = merges.size();
+  for (const auto& [node, prefix] : merges) {
+    patch_entry(node, prefix, result.fib_delta);
   }
   timers_.add("fib", sw.elapsed_seconds());
   return result;

@@ -3,17 +3,26 @@
 //
 // Construction performs a full (monolithic) build. advance() moves the
 // engine to a target snapshot *differentially*: it diffs configs and link
-// states, runs each stage only when one of its inputs changed, and rebuilds
-// FIBs only for nodes whose routing inputs changed:
+// states, runs each stage only when one of its inputs changed, and patches
+// FIBs one (node, prefix) entry at a time:
 //  * OSPF: link state, interfaces, the OSPF process, and static routes on
 //    a node whose OSPF redistributes statics before or after the change;
 //  * BGP: the same, with BGP's redistribution of statics, plus the BGP
 //    process, neighbors, prefix lists, route maps, and nodes whose OSPF
 //    routes changed;
-//  * FIB: every node with a changed input except ACLs and ACL bindings,
-//    which only the data plane reads.
-// A skipped stage is absent from timers(). Structural topology changes
-// (node/link add/remove) fall back to a full rebuild.
+//  * FIB: the pairs whose OSPF route or BGP best route changed, as those
+//    stages report them, plus the pairs a config or link change feeds
+//    directly, each read before and after the change: a node's connected
+//    and static prefixes when its interfaces changed; its static prefixes
+//    when its static routes changed; and the static prefixes of both ends
+//    of a link whose state changed or whose far interface was edited
+//    (static routes resolve over the peer's interface). ACLs and ACL bindings feed none:
+//    only the data plane reads them.
+// Each pair is re-merged from its candidates by the same rule a full build
+// applies, compared with the node's current entry, and patched in place;
+// the FIB delta lists the changes per node in prefix order, as diff_fib
+// does. A skipped stage is absent from timers(). Structural topology
+// changes (node/link add/remove) fall back to a full rebuild.
 #pragma once
 
 #include "config/diff.h"
@@ -47,18 +56,32 @@ class ControlPlaneEngine {
   /// advance() / construction; an advance lists only the stages it ran.
   const StageTimers& timers() const { return timers_; }
 
+  /// The (node, prefix) pairs the last advance re-merged, changed or not:
+  /// the FIB stage's work. A full build (construction, or a structural
+  /// change) counts every entry it built.
+  size_t last_fib_merges() const { return fib_merges_; }
+
   /// Monolithic helper: computes all FIBs for a snapshot from scratch.
   static std::vector<Fib> compute_fibs(const topo::Snapshot& snapshot);
 
  private:
   void full_build();
   Fib build_fib(topo::NodeId node) const;
+  /// The entry the current state gives `prefix` at `node`; nullopt if no
+  /// route reaches it.
+  std::optional<FibEntry> merge_entry(topo::NodeId node,
+                                      const Ipv4Prefix& prefix) const;
+  /// Re-merges (node, prefix) and, if the entry changed, patches
+  /// fibs_[node] in place and appends the change to `fib_delta`.
+  void patch_entry(topo::NodeId node, const Ipv4Prefix& prefix,
+                   FibDelta& fib_delta);
 
   topo::Snapshot snap_;
   OspfModel ospf_;
   BgpSim bgp_{&ospf_};
   std::vector<Fib> fibs_;
   StageTimers timers_;
+  size_t fib_merges_ = 0;
 };
 
 }  // namespace dna::cp

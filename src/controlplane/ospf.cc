@@ -163,7 +163,7 @@ bool OspfModel::compute_route(topo::NodeId src, const Ipv4Prefix& prefix) {
   return true;
 }
 
-std::set<topo::NodeId> OspfModel::update(const topo::Snapshot& snapshot) {
+std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot) {
   Inputs next = derive_inputs(snapshot);
   DNA_CHECK_MSG(next.graph.num_nodes() == in_.graph.num_nodes(),
                 "node count changed; rebuild required");
@@ -248,7 +248,9 @@ std::set<topo::NodeId> OspfModel::update(const topo::Snapshot& snapshot) {
   in_.advertisers = std::move(next.advertisers);
 
   // ---- Recompute affected routes -----------------------------------------
-  std::set<topo::NodeId> dirty;
+  // Sources ascend and each source's prefixes are a sorted set, so the
+  // changed pairs come out sorted.
+  std::vector<RouteKey> changed;
   for (topo::NodeId src = 0; src < n; ++src) {
     std::set<Ipv4Prefix> affected = changed_prefixes;
     if (incident.count(src)) {
@@ -283,10 +285,10 @@ std::set<topo::NodeId> OspfModel::update(const topo::Snapshot& snapshot) {
       }
     }
     for (const Ipv4Prefix& prefix : affected) {
-      if (compute_route(src, prefix)) dirty.insert(src);
+      if (compute_route(src, prefix)) changed.emplace_back(src, prefix);
     }
   }
-  return dirty;
+  return changed;
 }
 
 }  // namespace dna::cp

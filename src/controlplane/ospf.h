@@ -4,7 +4,8 @@
 // (cheap) graph + advertiser inputs from the new snapshot, diffs them
 // against the previous inputs, feeds arc-level events to the per-source
 // DynamicSssp instances, and recomputes routes only for (source, prefix)
-// pairs whose distances, first-hop inputs, or advertisers changed.
+// pairs whose distances, first-hop inputs, or advertisers changed, and
+// reports the pairs whose route changed.
 //
 // Route-level semantics:
 //  * an interface runs OSPF when its node has OSPF enabled and the
@@ -40,10 +41,11 @@ class OspfModel {
   /// Full computation from scratch.
   void build(const topo::Snapshot& snapshot);
 
-  /// Incremental move to `snapshot`; returns nodes whose OSPF route table
-  /// changed. Node additions/removals require a rebuild (handled by caller
-  /// falling back to build()).
-  std::set<topo::NodeId> update(const topo::Snapshot& snapshot);
+  /// Incremental move to `snapshot`; returns the (node, prefix) pairs whose
+  /// OSPF route changed (appeared, went, or moved in metric or hops),
+  /// sorted and unique. Node additions/removals require a rebuild (handled
+  /// by caller falling back to build()).
+  std::vector<RouteKey> update(const topo::Snapshot& snapshot);
 
   const std::map<Ipv4Prefix, OspfRoute>& routes(topo::NodeId node) const {
     return routes_.at(node);

@@ -56,6 +56,12 @@ std::string FibEntry::str(const topo::Topology& topology) const {
   return out;
 }
 
+std::set<topo::NodeId> nodes_of(const std::vector<RouteKey>& keys) {
+  std::set<topo::NodeId> nodes;
+  for (const RouteKey& key : keys) nodes.insert(key.first);
+  return nodes;
+}
+
 bool FibDelta::empty() const {
   for (const auto& [node, delta] : by_node) {
     if (!delta.empty()) return false;

@@ -4,7 +4,9 @@
 #include <compare>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "topo/topology.h"
@@ -46,6 +48,13 @@ struct FibEntry {
 
 /// A node's forwarding table: sorted by prefix, one entry per prefix.
 using Fib = std::vector<FibEntry>;
+
+/// One node's route to one prefix: the unit in which the control-plane
+/// stages report what they changed, and in which FIBs are patched.
+using RouteKey = std::pair<topo::NodeId, Ipv4Prefix>;
+
+/// The nodes among `keys`.
+std::set<topo::NodeId> nodes_of(const std::vector<RouteKey>& keys);
 
 struct NodeFibDelta {
   std::vector<FibEntry> added;

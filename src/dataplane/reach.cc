@@ -12,6 +12,12 @@ bool EdgeTable::permits(topo::NodeId u, const cp::Hop& hop,
          (!bound.in || rules_permit(*bound.in, probe));
 }
 
+bool EdgeTable::binds_acl() const {
+  return std::any_of(acls.begin(), acls.end(), [](const Acls& bound) {
+    return bound.out || bound.in;
+  });
+}
+
 namespace {
 
 /// An edge of the EC graph over an open link.

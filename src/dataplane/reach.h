@@ -63,6 +63,9 @@ struct EdgeTable {
   /// Whether a probe crosses u -> hop.next: the link is open and both
   /// bound rule lists permit it.
   bool permits(topo::NodeId u, const cp::Hop& hop, const Probe& probe) const;
+  /// Whether some link direction binds a rule list: the only place a
+  /// probe's source address is read.
+  bool binds_acl() const;
 };
 
 /// Overwrites `reach` with every source's reachability in the EC whose

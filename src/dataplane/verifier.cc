@@ -305,19 +305,21 @@ ReachDelta Verifier::apply(
         break;
     }
   }
-  const bool acl_bound_before = !binding_cache_.empty();
+  const bool link_acl_before =
+      !interfaces_changed.empty() && edges_.binds_acl();
   for (topo::NodeId node : nodes_to_refresh) refresh_acl_cache(node);
   // An interface edit that enabled or disabled a link's interface changes
   // edges the FIB delta does not name: re-verify every EC. A moved probe
-  // source changes only ACL verdicts, so it does the same only when some
-  // interface binds an ACL before or after the batch. Any other interface
-  // edit (an OSPF cost, say) reaches the data plane only through the FIBs.
+  // source changes only ACL verdicts on links, so it does the same only
+  // when some link direction binds an ACL before or after the batch. Any
+  // other interface edit (an OSPF cost, say) reaches the data plane only
+  // through the FIBs.
   bool all_dirty = false;
   for (topo::NodeId node : interfaces_changed) {
     const InterfaceRefresh refreshed = refresh_interface_cache(node);
     all_dirty = all_dirty || refreshed.link_enabled_changed ||
                 (refreshed.probe_source_moved &&
-                 (acl_bound_before || !binding_cache_.empty()));
+                 (link_acl_before || edges_.binds_acl()));
   }
 
   // ---- Update the EC index ------------------------------------------------

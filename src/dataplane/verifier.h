@@ -23,10 +23,11 @@
 // direction's bound ACL rule lists, in the EdgeTable the pass reads, and
 // refreshes them only for the nodes a change names. An interface edit that
 // enables or disables a link's interface re-verifies every atom. A moved
-// probe source matters only to ACL verdicts, so it does the same only when
-// some interface binds an ACL before or after the change. Any other
-// interface edit (an OSPF cost, a passive flag) reaches the data plane
-// through the FIB delta alone.
+// probe source matters only to the verdicts of ACLs bound on links, so it
+// does the same only when some link direction binds one before or after
+// the change; an ACL on an interface no link crosses is never read. Any
+// other interface edit (an OSPF cost, a passive flag) reaches the data
+// plane through the FIB delta alone.
 #pragma once
 
 #include <map>

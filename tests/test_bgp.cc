@@ -89,10 +89,8 @@ TEST(Bgp, LocalPrefOverridesPathLength) {
   }
   Snapshot changed =
       topo::with_bgp_local_pref(snap, "as1", neighbor_ip, 200);
-  std::set<NodeId> dirty = sim.update(changed, config::diff_configs(
-                                                   snap.configs,
-                                                   changed.configs),
-                                      {});
+  std::set<NodeId> dirty = nodes_of(sim.update(
+      changed, config::diff_configs(snap.configs, changed.configs), {}));
   EXPECT_TRUE(dirty.count(as1));
   const BgpSim::Best after = sim.best(as1).at(host0);
   EXPECT_EQ(after.via, other_core);

@@ -3,8 +3,9 @@
 // change types, and randomized sequences, while the differential advance
 // skips the stages a change does not feed and keeps invariant verdicts
 // between advances. Structural changes match two fresh engines compared by
-// node name. Plus invariant-flip reporting and the interval-difference
-// helper.
+// node name, and the FIBs a differential engine patches match a fresh
+// build's after every step of a churn. Plus invariant-flip reporting and
+// the interval-difference helper.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -171,6 +172,22 @@ Snapshot with_static_over_link(Snapshot s, uint32_t link, Ipv4Prefix prefix) {
   return topo::with_static_route(s, s.topology.node_name(l.a), prefix, via);
 }
 
+/// ring:4 whose link 0 (r0-r1) carries no OSPF adjacency, r0's end being
+/// passive, and a static route at r0 via r1's address on that link.
+Snapshot ring_with_passive_static() {
+  Snapshot s = topo::make_ring(4);
+  const topo::Link& link = s.topology.link(0);
+  s.configs[link.a].find_interface(link.a_if)->ospf_passive = true;
+  return with_static_over_link(s, 0, Ipv4Prefix(Ipv4Addr(198, 18, 0, 0), 24));
+}
+
+/// Shuts or re-enables r1's end of link 0, the static route's next hop.
+Snapshot with_next_hop_enabled(Snapshot s, bool enabled) {
+  const topo::Link& link = s.topology.link(0);
+  return topo::with_interface_enabled(s, s.topology.node_name(link.b),
+                                      link.b_if, enabled);
+}
+
 // Prints the case by name, so its test id is the same on every build.
 void PrintTo(const ChangeCase& test_case, std::ostream* os) {
   *os << test_case.name;
@@ -271,6 +288,14 @@ ChangeCase cases[] = {
            Ipv4Addr(172, 16, 9, 9);
        return s;
      }},
+    // r0's static route resolves over r1's interface on link 0. No OSPF
+    // route of r0's changes when that interface goes down or comes back,
+    // yet the static route goes or comes with it.
+    {"ring_passive_next_hop_shut", ring_with_passive_static,
+     [](Snapshot s) { return with_next_hop_enabled(s, false); }},
+    {"ring_passive_next_hop_enabled",
+     [] { return with_next_hop_enabled(ring_with_passive_static(), false); },
+     [](Snapshot s) { return with_next_hop_enabled(s, true); }},
 };
 
 class ModeEquivalence : public ::testing::TestWithParam<ChangeCase> {};
@@ -340,6 +365,36 @@ TEST(DnaEngine, ProbeSourceMoveReverifiesEveryEcWhenAnAclIsBound) {
   expect_same_semantic_diff(diff,
                             monolithic.preview(target, Mode::kMonolithic),
                             "loopback past a source ACL");
+}
+
+TEST(DnaEngine, ProbeSourceMoveIgnoresAnAclNoLinkCrosses) {
+  // An ACL bound on r0's host interface is on no link direction, so no
+  // probe's source address is read against it: moving r2's loopback
+  // re-verifies what it does with no ACL at all.
+  const Snapshot plain = topo::make_ring(6);
+  Snapshot base = plain;
+  config::NodeConfig& r0 = base.config_of("r0");
+  r0.acls.push_back(
+      {"ANY",
+       {{config::FilterAction::kPermit, Ipv4Prefix(), Ipv4Prefix(), -1, -1,
+         -1}}});
+  r0.find_interface("host0")->acl_out = "ANY";
+  auto moved = [](Snapshot s) {
+    s.config_of("r2").find_interface("lo")->address = Ipv4Addr(172, 16, 9, 9);
+    return s;
+  };
+  DnaEngine differential(base);
+  DnaEngine monolithic(base);
+  DnaEngine without_acl(plain);
+  const NetworkDiff diff =
+      differential.preview(moved(base), Mode::kDifferential);
+  EXPECT_LT(diff.affected_ecs, diff.total_ecs);
+  EXPECT_EQ(diff.affected_ecs,
+            without_acl.preview(moved(plain), Mode::kDifferential)
+                .affected_ecs);
+  expect_same_semantic_diff(
+      diff, monolithic.preview(moved(base), Mode::kMonolithic),
+      "loopback beside a host-interface ACL");
 }
 
 TEST(DnaEngine, CostOnlyEditReverifiesWhatItsFibDeltaNames) {
@@ -822,6 +877,152 @@ std::vector<ChurnCase> churn_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InvariantChurn,
                          ::testing::ValuesIn(churn_cases()),
+                         ::testing::PrintToStringParamName());
+
+// ---------------------------------------------------------------------------
+// FIB oracle: a differential advance patches FIBs one (node, prefix) entry
+// at a time, so after every advance and preview the tables must equal a
+// fresh build's, entry for entry.
+// ---------------------------------------------------------------------------
+
+/// "" when `actual` equals `expected`, else the first node whose FIB
+/// differs, with its extra and missing entries.
+std::string fib_mismatch(const std::vector<cp::Fib>& actual,
+                         const std::vector<cp::Fib>& expected,
+                         const topo::Topology& topology) {
+  if (actual.size() != expected.size()) return "node counts differ";
+  for (topo::NodeId node = 0; node < expected.size(); ++node) {
+    if (actual[node] == expected[node]) continue;
+    const cp::NodeFibDelta delta = cp::diff_fib(expected[node], actual[node]);
+    std::string out = topology.node_name(node) + ":";
+    for (const cp::FibEntry& entry : delta.added) {
+      out += " extra " + entry.str(topology);
+    }
+    for (const cp::FibEntry& entry : delta.removed) {
+      out += " missing " + entry.str(topology);
+    }
+    return out;
+  }
+  return "";
+}
+
+/// One FIB-oracle edit: churn_edit's mix (costs, link failures, interface
+/// shutdowns, re-addressed loopbacks and links, static routes), plus static
+/// routes over links made OSPF-passive at the near end, the far interface
+/// of an existing static route shut or re-enabled, and BGP announcements
+/// and withdrawals.
+Snapshot fib_edit(const Snapshot& base, const Snapshot& snap, Rng& rng,
+                  std::string& what) {
+  const topo::Topology& topology = snap.topology;
+  switch (rng.below(8)) {
+    case 0: {
+      const auto index =
+          static_cast<uint32_t>(rng.below(topology.num_links()));
+      const topo::Link& link = topology.link(index);
+      const Ipv4Prefix prefix(
+          Ipv4Addr(198, 18, static_cast<uint8_t>(rng.below(4)), 0), 24);
+      Snapshot next = snap;
+      next.configs[link.a].find_interface(link.a_if)->ospf_passive = true;
+      next.configs[link.a].static_routes.push_back(
+          {prefix, snap.configs[link.b].find_interface(link.b_if)->address});
+      what = "static " + prefix.str() + " over passive link " +
+             std::to_string(index);
+      return next;
+    }
+    case 1: {
+      // The far ends of the links static routes resolve over.
+      std::vector<std::pair<topo::NodeId, std::string>> far_ends;
+      for (const topo::Link& link : topology.links()) {
+        for (topo::NodeId near : {link.a, link.b}) {
+          const topo::NodeId far = link.peer_of(near);
+          const Ipv4Addr address =
+              snap.configs[far].find_interface(link.if_of(far))->address;
+          for (const auto& route : snap.configs[near].static_routes) {
+            if (route.next_hop == address) {
+              far_ends.emplace_back(far, link.if_of(far));
+            }
+          }
+        }
+      }
+      if (far_ends.empty()) break;
+      const auto& [far, if_name] = far_ends[rng.below(far_ends.size())];
+      const bool enabled = snap.configs[far].find_interface(if_name)->enabled;
+      what = (enabled ? "shut next hop " : "enable next hop ") +
+             topology.node_name(far) + ":" + if_name;
+      return topo::with_interface_enabled(snap, topology.node_name(far),
+                                          if_name, !enabled);
+    }
+    case 2:
+    case 3: {
+      const auto node =
+          static_cast<topo::NodeId>(rng.below(topology.num_nodes()));
+      const config::BgpConfig& bgp = snap.configs[node].bgp;
+      if (!bgp.enabled) break;
+      const std::string& name = topology.node_name(node);
+      if (!bgp.networks.empty() && rng.below(2) == 0) {
+        const Ipv4Prefix prefix = bgp.networks[rng.below(bgp.networks.size())];
+        what = "withdraw " + prefix.str() + " at " + name;
+        return topo::with_bgp_withdraw(snap, name, prefix);
+      }
+      const Ipv4Prefix prefix(
+          Ipv4Addr(198, 19, static_cast<uint8_t>(rng.below(4)), 0), 24);
+      what = "announce " + prefix.str() + " at " + name;
+      return topo::with_bgp_announce(snap, name, prefix);
+    }
+    default:
+      break;
+  }
+  return churn_edit(base, snap, rng, what);
+}
+
+class FibOracle : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(FibOracle, DifferentialFibsEqualAFreshBuild) {
+  const std::string which = GetParam().topology;
+  const uint64_t seed = GetParam().seed;
+  Snapshot base;
+  if (which == "ring") base = topo::make_ring(6);
+  if (which == "grid") base = topo::make_grid(3, 3);
+  if (which == "fattree") base = topo::make_fattree(4);
+  if (which == "two_tier") base = topo::make_two_tier_as(3, 2);
+  if (seed % 2 == 1) {
+    // Static routes feed OSPF or BGP, not only the FIB.
+    for (config::NodeConfig& cfg : base.configs) {
+      cfg.ospf.redistribute_static = cfg.ospf.enabled;
+      cfg.bgp.redistribute_static = cfg.bgp.enabled;
+    }
+  }
+  DnaEngine engine(base);
+  Rng rng(0xF1B0 + seed);
+  Snapshot snap = base;
+  for (int step = 0; step < 40; ++step) {
+    std::string what;
+    Snapshot next = fib_edit(base, snap, rng, what);
+    const bool preview = rng.below(3) == 0;
+    if (preview) {
+      engine.preview(next, Mode::kDifferential);
+    } else {
+      engine.advance(next, Mode::kDifferential);
+      snap = std::move(next);
+    }
+    ASSERT_EQ(fib_mismatch(engine.control_plane().fibs(),
+                           cp::ControlPlaneEngine::compute_fibs(snap),
+                           snap.topology),
+              "")
+        << "step " << step << ": " << (preview ? "preview " : "") << what;
+  }
+}
+
+std::vector<ChurnCase> fib_oracle_cases() {
+  std::vector<ChurnCase> cases;
+  for (const char* topology : {"ring", "grid", "fattree", "two_tier"}) {
+    for (uint64_t seed = 0; seed < 3; ++seed) cases.push_back({topology, seed});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FibOracle,
+                         ::testing::ValuesIn(fib_oracle_cases()),
                          ::testing::PrintToStringParamName());
 
 }  // namespace

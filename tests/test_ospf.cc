@@ -102,7 +102,7 @@ TEST(Ospf, IncrementalCostChangeMatchesFreshBuild) {
   OspfModel model;
   model.build(snap);
   Snapshot changed = topo::with_link_cost(snap, 2, 55);
-  std::set<NodeId> dirty = model.update(changed);
+  std::set<NodeId> dirty = nodes_of(model.update(changed));
   EXPECT_FALSE(dirty.empty());
   auto expected = all_routes(changed);
   for (NodeId node = 0; node < changed.topology.num_nodes(); ++node) {
@@ -117,7 +117,7 @@ TEST(Ospf, IncrementalReportsNoDirtForIrrelevantChange) {
   // An ACL change does not touch OSPF inputs at all.
   Snapshot changed =
       topo::with_acl_block(snap, "r0", Ipv4Prefix(Ipv4Addr(172, 31, 1, 0), 24));
-  std::set<NodeId> dirty = model.update(changed);
+  std::set<NodeId> dirty = nodes_of(model.update(changed));
   EXPECT_TRUE(dirty.empty());
 }
 

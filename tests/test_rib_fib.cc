@@ -141,6 +141,50 @@ TEST(Engine, NoopAdvanceIsEmpty) {
   EXPECT_TRUE(result.config_changes.empty());
   EXPECT_TRUE(result.link_changes.empty());
   EXPECT_TRUE(result.fib_delta.empty());
+  EXPECT_EQ(engine.last_fib_merges(), 0u);
+}
+
+TEST(Engine, StaticRouteReMergesOnePairWhateverTheNetworkSize) {
+  // No process redistributes statics, so the route feeds one FIB entry.
+  // A whole-table rebuild would redo 60 entries on fattree:4 and 368 on
+  // fattree:8.
+  for (int k : {4, 8}) {
+    Snapshot snap = topo::make_fattree(k);
+    ControlPlaneEngine engine(snap);
+    const topo::Link& link = snap.topology.link(0);
+    Snapshot changed = topo::with_static_route(
+        snap, snap.topology.node_name(link.a),
+        Ipv4Prefix(Ipv4Addr(198, 18, 0, 0), 24),
+        snap.configs[link.b].find_interface(link.b_if)->address);
+    AdvanceResult result = engine.advance(changed);
+    EXPECT_EQ(engine.last_fib_merges(), 1u) << "fattree:" << k;
+    EXPECT_EQ(result.fib_delta.total_changes(), 1u) << "fattree:" << k;
+    EXPECT_EQ(engine.fibs(), ControlPlaneEngine::compute_fibs(changed))
+        << "fattree:" << k;
+  }
+}
+
+TEST(Engine, LinkFailureReMergesOnlyTheEntriesOspfChanged) {
+  // Failing fattree:6 link 0 changes 256 of the network's 7,695 (node,
+  // prefix) entries, at 29 nodes; a rebuild of those nodes' tables would
+  // redo 4,959. The bound is a ratchet: lower it when the work falls,
+  // never raise it.
+  constexpr size_t kMaxMerges = 256;
+  Snapshot snap = topo::make_fattree(6);
+  ControlPlaneEngine engine(snap);
+  size_t entries = 0;
+  for (const Fib& fib : engine.fibs()) entries += fib.size();
+  EXPECT_EQ(engine.last_fib_merges(), entries);  // construction builds all
+  Snapshot failed = topo::with_link_state(snap, 0, false);
+  AdvanceResult result = engine.advance(failed);
+  EXPECT_LE(engine.last_fib_merges(), kMaxMerges);
+  // Every changed entry was re-merged; each adds at most one removal and
+  // one addition to the delta.
+  EXPECT_GE(engine.last_fib_merges(), result.fib_delta.total_changes() / 2);
+  EXPECT_EQ(engine.fibs(), ControlPlaneEngine::compute_fibs(failed));
+  engine.advance(snap);
+  EXPECT_LE(engine.last_fib_merges(), kMaxMerges);
+  EXPECT_EQ(engine.fibs(), ControlPlaneEngine::compute_fibs(snap));
 }
 
 class EngineChurn : public ::testing::TestWithParam<const char*> {};
