@@ -6,8 +6,8 @@
 // the report text by design — see scenario/report.h).
 //
 // Output: human-readable tables plus machine-readable BENCH_scenario.json in
-// the same shape as BENCH_dataflow.json / BENCH_service.json (ns-per-op
-// results, speedups, peak RSS). Flags:
+// the same shape as BENCH_service.json (ns-per-op results, speedups, peak
+// RSS; see bench_common.h). Flags:
 //   --quick                smallest fat-tree only (CI)
 //   --json=PATH            write the JSON report (default BENCH_scenario.json)
 //   --check=BASELINE.json  fail (exit 1) if a gated entry regresses >2x

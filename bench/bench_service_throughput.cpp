@@ -22,8 +22,8 @@
 //     shard owns its partition's queries end to end.
 //
 // Output: human-readable tables plus machine-readable BENCH_service.json
-// (same shape as BENCH_dataflow.json: ns-per-op results, ratios, peak
-// RSS). Flags:
+// (same shape as BENCH_scenario.json: ns-per-op results, ratios, peak
+// RSS; see bench_common.h). Flags:
 //   --k=N                  fat-tree parameter (default 4)
 //   --queries=N            queries per throughput run (default 224)
 //   --quick                smaller trial counts (CI)

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
-#include <sstream>
 #include <utility>
 
 namespace dna::analytics {
@@ -33,17 +31,6 @@ int status_order(ElementDelta::Status status) {
       return 2;
   }
   return 2;
-}
-
-std::string format_fc_e4(int64_t fc_e4) {
-  const char* sign = fc_e4 < 0 ? "-" : "";
-  const uint64_t magnitude =
-      fc_e4 < 0 ? static_cast<uint64_t>(-fc_e4) : static_cast<uint64_t>(fc_e4);
-  char out[40];
-  std::snprintf(out, sizeof(out), "%s%llu.%04llu", sign,
-                static_cast<unsigned long long>(magnitude / 10000ULL),
-                static_cast<unsigned long long>(magnitude % 10000ULL));
-  return out;
 }
 
 uint64_t magnitude_of(int64_t fc_e4) {
@@ -126,31 +113,6 @@ RiskDiff diff_risk(const RiskReport& before, const RiskReport& after) {
               return a.element < b.element;
             });
   return diff;
-}
-
-std::string RiskDiff::str(size_t top_k) const {
-  std::ostringstream out;
-  out << "risk diff sweep=" << sweep << " v" << version_before << " -> v"
-      << version_after << ": " << enriched << " enriched, " << depleted
-      << " depleted, " << stable << " stable\n";
-  out << "status    log2fc    before    after     kind    element\n";
-  const size_t rows =
-      top_k == 0 ? elements.size() : std::min(top_k, elements.size());
-  for (size_t i = 0; i < rows; ++i) {
-    const ElementDelta& delta = elements[i];
-    char line[192];
-    std::snprintf(line, sizeof(line), "%-8s  %8s  %8s  %8s  %-6s  %s\n",
-                  delta.status_name(),
-                  format_fc_e4(delta.log2_fc_e4).c_str(),
-                  format_micro(delta.keystone_before_micro).c_str(),
-                  format_micro(delta.keystone_after_micro).c_str(),
-                  delta.kind.c_str(), delta.element.c_str());
-    out << line;
-  }
-  if (rows < elements.size()) {
-    out << "  ... " << elements.size() - rows << " more elements\n";
-  }
-  return out.str();
 }
 
 void RiskDiff::append_json(util::JsonWriter& json, size_t top_k) const {

@@ -55,7 +55,6 @@ struct RiskDiff {
   /// by (kind, element) for a total deterministic order.
   std::vector<ElementDelta> elements;
 
-  std::string str(size_t top_k = 0) const;
   /// {"risk_diff": {...}} — the `risk diff` query body. `top_k` caps the
   /// elements array (0 = all); the bucket counters always cover everything.
   std::string to_json(size_t top_k = 0) const;

@@ -24,61 +24,6 @@ bool eval_cmp(CmpOp op, Value lhs, Value rhs) {
   return false;
 }
 
-const char* cmp_op_text(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq:
-      return "==";
-    case CmpOp::kNe:
-      return "!=";
-    case CmpOp::kLt:
-      return "<";
-    case CmpOp::kLe:
-      return "<=";
-    case CmpOp::kGt:
-      return ">";
-    case CmpOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
-namespace {
-std::string term_str(const Term& term) {
-  if (term.is_var()) return "V" + std::to_string(term.var);
-  return std::to_string(term.value);
-}
-
-std::string atom_str(const Atom& atom, const Program& program) {
-  std::string out = program.relation(atom.relation).name + "(";
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    if (i) out += ", ";
-    out += term_str(atom.terms[i]);
-  }
-  return out + ")";
-}
-}  // namespace
-
-std::string Rule::str(const Program& program, const Interner&) const {
-  std::string out = atom_str(head, program) + " :- ";
-  bool first = true;
-  for (const Literal& lit : body) {
-    if (!first) out += ", ";
-    first = false;
-    if (lit.negated) out += "!";
-    out += atom_str(lit.atom, program);
-  }
-  for (const Comparison& cmp : comparisons) {
-    if (!first) out += ", ";
-    first = false;
-    out += term_str(cmp.lhs);
-    out += " ";
-    out += cmp_op_text(cmp.op);
-    out += " ";
-    out += term_str(cmp.rhs);
-  }
-  return out + ".";
-}
-
 int Program::add_relation(const std::string& name, int arity, bool is_input) {
   if (relation_id(name) >= 0) {
     throw Error("relation redeclared: " + name);

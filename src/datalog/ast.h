@@ -8,14 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "dataflow/row.h"
-#include "util/interner.h"
+#include "datalog/tuple.h"
 
 namespace dna::datalog {
-
-using Value = dataflow::Value;
-using Tuple = dataflow::Row;
-using TupleHash = dataflow::RowHash;
 
 struct Term {
   enum class Kind { kVar, kConst };
@@ -39,7 +34,6 @@ struct Atom {
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 bool eval_cmp(CmpOp op, Value lhs, Value rhs);
-const char* cmp_op_text(CmpOp op);
 
 /// A builtin constraint; both sides must be bound by positive atoms.
 struct Comparison {
@@ -59,9 +53,6 @@ struct Rule {
   std::vector<Literal> body;
   std::vector<Comparison> comparisons;
   int num_vars = 0;
-
-  /// Human-readable form, for diagnostics.
-  std::string str(const class Program& program, const Interner& interner) const;
 };
 
 struct RelationDecl {

@@ -26,10 +26,9 @@
 namespace dna::datalog {
 
 using TupleSet = std::unordered_set<Tuple, TupleHash>;
-/// Fact storage rides the same open-addressing map as the dataflow
-/// operators (util/flat_map.h): counts and index buckets are probed on
-/// every derivation, and the node-based std::unordered_map spent the
-/// evaluator's time in the allocator. Mutation discipline matches the
+/// Fact storage is an open-addressing map (util/flat_map.h): counts and
+/// index buckets are probed on every derivation, and the node-based
+/// std::unordered_map spent the evaluator's time in the allocator. Mutation discipline matches the
 /// FlatMap contract — the evaluator never mutates a relation while a plan
 /// enumeration is iterating it (sinks buffer; see evaluate_program).
 using CountMap = util::FlatMap<Tuple, int64_t, TupleHash>;

@@ -304,9 +304,4 @@ std::vector<std::pair<std::string, double>> Registry::sample() const {
   return out;
 }
 
-Registry& Registry::global() {
-  static Registry* instance = new Registry();
-  return *instance;
-}
-
 }  // namespace dna::obs

@@ -215,8 +215,7 @@ class Histogram {
 /// A named family of metrics with stable handles and three expositions
 /// (human text, JSON, Prometheus). One Registry per serving component
 /// (DnaService, ShardRouter) keeps in-process deployments — tests run
-/// several services side by side — from aliasing each other's counters;
-/// Registry::global() exists for process-wide odds and ends.
+/// several services side by side — from aliasing each other's counters.
 class Registry {
  public:
   Registry() = default;
@@ -248,8 +247,6 @@ class Registry {
   /// units, i.e. seconds for kNanos), which is what windowed rate and mean
   /// computations over two samples need.
   std::vector<std::pair<std::string, double>> sample() const;
-
-  static Registry& global();
 
  private:
   mutable std::mutex mutex_;  // guards the maps, not the metric values

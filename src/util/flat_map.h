@@ -1,8 +1,9 @@
 // Open-addressing hash map with robin-hood probing and backward-shift erase.
 //
-// Built for the dataflow hot path (Multiset, join/reduce state), where
-// node-based std::unordered_map spends most of its time in the allocator and
-// chasing bucket pointers. Design points:
+// Built for maps probed on every derivation or route update (datalog fact
+// counts and index buckets, the control plane's per-prefix RIB candidates),
+// where node-based std::unordered_map spends most of its time in the
+// allocator and chasing bucket pointers. Design points:
 //
 //   - One flat slot array (hash, key, value); capacity is a power of two.
 //     A stored hash of zero marks an empty slot, so probing never touches
@@ -12,14 +13,14 @@
 //     churned map never degrades (long-lived service sessions depend on it).
 //   - Heterogeneous "hashed" entry points (`find_hashed`, `try_emplace_hashed`,
 //     `erase_hashed`) take a precomputed hash plus an equality predicate and
-//     build the key lazily only when an insert actually happens. The join and
-//     reduce operators use these to probe by projected row columns without
-//     materializing a key row per delta.
+//     build the key lazily only when an insert actually happens, so a caller
+//     can probe by a key it has not materialized. find and try_emplace are
+//     these with the key's own hash and equality.
 //
 // Iterators and entry pointers are invalidated by any insert (rehash or
 // robin-hood displacement) and by erase (backward shift). The supported
 // pattern is lookup → mutate value → optionally erase, with no interleaved
-// map mutation — exactly what the dataflow operators do.
+// map mutation.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,7 @@
 // String interning: maps strings to dense 32-bit symbols and back.
 //
-// Dataflow rows and datalog tuples store symbols instead of strings so that
-// tuples stay fixed-width and hashing/equality are O(1).
+// Datalog tuples store symbols instead of strings so that tuples stay
+// fixed-width and hashing/equality are O(1).
 #pragma once
 
 #include <cstdint>

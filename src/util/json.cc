@@ -122,10 +122,4 @@ JsonWriter& JsonWriter::value(double d) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  separate();
-  out_ += "null";
-  return *this;
-}
-
 }  // namespace dna::util

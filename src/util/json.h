@@ -54,7 +54,6 @@ class JsonWriter {
   JsonWriter& value(unsigned n) { return value((unsigned long long)n); }
   JsonWriter& value(int n) { return value((long long)n); }
   JsonWriter& value(double d);
-  JsonWriter& null();
 
   /// The serialized document. Valid once every container has been closed.
   const std::string& str() const { return out_; }

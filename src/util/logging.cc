@@ -2,35 +2,10 @@
 
 #include <cstdio>
 
-namespace dna {
+namespace dna::detail {
 
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
+void log_line(const char* level, const std::string& message) {
+  std::fprintf(stderr, "[dna %s] %s\n", level, message.c_str());
 }
-}  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
-namespace detail {
-void log_line(LogLevel level, const std::string& message) {
-  std::fprintf(stderr, "[dna %s] %s\n", level_name(level), message.c_str());
-}
-}  // namespace detail
-
-}  // namespace dna
+}  // namespace dna::detail

@@ -1,37 +1,21 @@
-// Minimal leveled logging to stderr.
-//
-// Logging defaults to Warn so library users see problems but benches stay
-// quiet; tests and examples raise the level explicitly when useful.
+// Logging to stderr, one line per message: "[dna WARN] ..." for problems a
+// caller can work around, "[dna ERROR] ..." for failures. Every message is
+// printed; there is no level to set.
 #pragma once
 
 #include <sstream>
 #include <string>
 
-namespace dna {
+namespace dna::detail {
+void log_line(const char* level, const std::string& message);
+}  // namespace dna::detail
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Sets the global threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-namespace detail {
-void log_line(LogLevel level, const std::string& message);
-}
-
-}  // namespace dna
-
-#define DNA_LOG(level, expr)                                       \
-  do {                                                             \
-    if (static_cast<int>(level) >=                                 \
-        static_cast<int>(::dna::log_level())) {                    \
-      std::ostringstream dna_log_stream;                           \
-      dna_log_stream << expr;                                      \
-      ::dna::detail::log_line(level, dna_log_stream.str());        \
-    }                                                              \
+#define DNA_LOG(level, expr)                                \
+  do {                                                      \
+    std::ostringstream dna_log_stream;                      \
+    dna_log_stream << expr;                                 \
+    ::dna::detail::log_line(level, dna_log_stream.str());   \
   } while (0)
 
-#define DNA_DEBUG(expr) DNA_LOG(::dna::LogLevel::kDebug, expr)
-#define DNA_INFO(expr) DNA_LOG(::dna::LogLevel::kInfo, expr)
-#define DNA_WARN(expr) DNA_LOG(::dna::LogLevel::kWarn, expr)
-#define DNA_ERROR(expr) DNA_LOG(::dna::LogLevel::kError, expr)
+#define DNA_WARN(expr) DNA_LOG("WARN", expr)
+#define DNA_ERROR(expr) DNA_LOG("ERROR", expr)

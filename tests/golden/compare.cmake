@@ -1,11 +1,13 @@
-# Runs dna_cli and compares its standard output with a checked-in report,
+# Runs a program and compares its standard output with a checked-in file,
 # byte for byte:
 #
-#   cmake -DCLI=path/to/dna_cli "-DARGS=whatif;--gen=ring:8;--json" \
+#   cmake -DPROGRAM=path/to/dna_cli "-DARGS=whatif;--gen=ring:8;--json" \
 #         -DEXPECTED=tests/golden/x.json -DACTUAL=build/x.json \
 #         -P tests/golden/compare.cmake
-string(REPLACE ";" " " command "dna_cli ${ARGS}")
-execute_process(COMMAND ${CLI} ${ARGS}
+get_filename_component(program ${PROGRAM} NAME)
+string(REPLACE ";" " " command "${program} ${ARGS}")
+string(STRIP "${command}" command)
+execute_process(COMMAND ${PROGRAM} ${ARGS}
                 OUTPUT_FILE ${ACTUAL}
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)

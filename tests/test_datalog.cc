@@ -1,5 +1,6 @@
 // Datalog engine: parsing, stratification, and from-scratch evaluation
-// semantics (recursion, negation, comparisons, symbolic constants).
+// semantics (recursion, negation, comparisons, symbolic constants), and the
+// inline small-row storage of Tuple.
 #include <gtest/gtest.h>
 
 #include "datalog/engine.h"
@@ -245,6 +246,55 @@ TEST(Engine, InsertRemoveCancelWithinBatch) {
   eng.flush();
   EXPECT_EQ(eng.size("reach"), 0u);
   EXPECT_EQ(eng.size("edge"), 0u);
+}
+
+TEST(SmallRow, InlineAndSpilledStorage) {
+  Tuple inline_row{1, 2, 3, 4};
+  EXPECT_TRUE(inline_row.is_inline());
+  EXPECT_EQ(inline_row.size(), 4u);
+
+  Tuple spilled{1, 2, 3, 4, 5, 6};
+  EXPECT_FALSE(spilled.is_inline());
+  EXPECT_EQ(spilled.size(), 6u);
+  EXPECT_EQ(spilled[5], 6);
+
+  // push_back across the spill boundary preserves contents.
+  Tuple grown;
+  for (int64_t i = 0; i < 10; ++i) {
+    grown.push_back(i);
+    EXPECT_EQ(grown.back(), i);
+  }
+  EXPECT_FALSE(grown.is_inline());
+  for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(grown[static_cast<size_t>(i)], i);
+}
+
+TEST(SmallRow, CopyMoveAndCompareMatchVectorSemantics) {
+  Tuple a{5, 6, 7};
+  Tuple b = a;  // copy
+  EXPECT_EQ(a, b);
+  Tuple c = std::move(b);
+  EXPECT_EQ(a, c);
+
+  // Lexicographic ordering, shorter prefix first — like std::vector.
+  EXPECT_LT((Tuple{1, 2}), (Tuple{1, 3}));
+  EXPECT_LT((Tuple{1, 2}), (Tuple{1, 2, 0}));
+  EXPECT_LT((Tuple{}), (Tuple{0}));
+  EXPECT_LT((Tuple{-1}), (Tuple{0}));
+
+  // Spilled vs inline tuples with equal contents compare equal and hash
+  // equal.
+  Tuple wide_a{1, 2, 3, 4, 5};
+  Tuple wide_b;
+  wide_b.reserve(32);
+  for (int64_t v : {1, 2, 3, 4, 5}) wide_b.push_back(v);
+  EXPECT_EQ(wide_a, wide_b);
+  EXPECT_EQ(TupleHash{}(wide_a), TupleHash{}(wide_b));
+
+  // Assignment into a spilled tuple from an inline one and back.
+  wide_a = a;
+  EXPECT_EQ(wide_a, a);
+  a = Tuple{9, 9, 9, 9, 9, 9, 9};
+  EXPECT_EQ(a.size(), 7u);
 }
 
 }  // namespace
