@@ -38,8 +38,9 @@ int main() {
     core::ChangePlan plan = core::ChangePlan::acl_block(candidate.where, dst);
     std::cout << ">>> proposing: " << plan.description() << "\n";
     Stopwatch sw;
-    core::NetworkDiff diff = engine.advance(plan.apply(engine.snapshot()),
-                                            core::Mode::kDifferential);
+    // A preview rolls the engine back to base before the next candidate.
+    core::NetworkDiff diff =
+        engine.preview(plan.apply(base), core::Mode::kDifferential);
     std::cout << "    " << core::summarize(diff) << "\n"
               << "    control plane untouched: "
               << (diff.fib_delta.empty() ? "yes" : "no") << "\n"
@@ -47,8 +48,6 @@ int main() {
               << diff.total_ecs << " ECs in " << sw.elapsed_ms() << " ms\n";
     size_t flows_lost = diff.reach_delta.lost.size();
     std::cout << "    flows lost: " << flows_lost << "\n\n";
-    // Revert before the next candidate.
-    engine.advance(base, core::Mode::kDifferential);
   }
   return 0;
 }

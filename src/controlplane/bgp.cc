@@ -72,9 +72,9 @@ std::vector<BgpSim::Session> BgpSim::derive_sessions(
   return sessions;
 }
 
-std::map<Ipv4Prefix, BgpRoute> BgpSim::derive_originations(
-    const topo::Snapshot& snapshot, topo::NodeId node) const {
-  std::map<Ipv4Prefix, BgpRoute> out;
+BgpSim::Routes BgpSim::derive_originations(const topo::Snapshot& snapshot,
+                                           topo::NodeId node) const {
+  Routes out;
   const config::NodeConfig& cfg = snapshot.configs[node];
   if (!cfg.bgp.enabled) return out;
   const Ipv4Addr router_id = effective_router_id(cfg);
@@ -104,14 +104,18 @@ std::map<Ipv4Prefix, BgpRoute> BgpSim::derive_originations(
   return out;
 }
 
-void BgpSim::build(const topo::Snapshot& snapshot) {
-  const size_t n = snapshot.topology.num_nodes();
-  sessions_ = derive_sessions(snapshot);
-  by_node_.assign(n, {});
+void BgpSim::index_sessions(size_t num_nodes) {
+  by_node_.assign(num_nodes, {});
   for (const Session& session : sessions_) {
     by_node_[session.a].push_back(&session);
     by_node_[session.b].push_back(&session);
   }
+}
+
+void BgpSim::build(const topo::Snapshot& snapshot) {
+  const size_t n = snapshot.topology.num_nodes();
+  sessions_ = derive_sessions(snapshot);
+  index_sessions(n);
   rib_in_.clear();
   sent_.clear();
   best_.assign(n, {});
@@ -127,7 +131,7 @@ void BgpSim::build(const topo::Snapshot& snapshot) {
     }
   }
   std::vector<RouteKey> changed;
-  converge(snapshot, work, changed);
+  converge(snapshot, work, changed, nullptr);
 }
 
 const BgpSim::Session* BgpSim::find_session(topo::NodeId node,
@@ -170,8 +174,61 @@ std::optional<BgpRoute> BgpSim::advertisement(const topo::Snapshot& snapshot,
   return route;
 }
 
+BgpSim::Routes& BgpSim::adj_rib(bool sent, const SessKey& key,
+                                UndoLog* log) {
+  AdjRibs& table = sent ? sent_ : rib_in_;
+  auto [it, created] = table.try_emplace(key);
+  if (created && log) {
+    log->adj.push_back({sent, key, std::nullopt, std::nullopt, std::nullopt});
+  }
+  return it->second;
+}
+
+bool BgpSim::send(topo::NodeId sender, topo::NodeId peer, uint32_t link,
+                  const Ipv4Prefix& prefix, std::optional<BgpRoute> adv,
+                  UndoLog* log) {
+  const SessKey sent_key{sender, peer, link};
+  const SessKey rib_key{peer, sender, link};
+  Routes& sent = adj_rib(true, sent_key, log);
+  Routes& peer_rib = adj_rib(false, rib_key, log);
+  const auto sit = sent.find(prefix);
+  const bool was_sent = sit != sent.end();
+  if (adv ? was_sent && sit->second == *adv : !was_sent) return false;
+  const auto rit = peer_rib.find(prefix);
+  const bool was_received = rit != peer_rib.end();
+  if (log) {
+    log->adj.push_back(
+        {true, sent_key, prefix,
+         was_sent ? std::optional<BgpRoute>(std::move(sit->second))
+                  : std::nullopt,
+         std::nullopt});
+    log->adj.push_back(
+        {false, rib_key, prefix,
+         was_received ? std::optional<BgpRoute>(std::move(rit->second))
+                      : std::nullopt,
+         std::nullopt});
+  }
+  if (!adv) {
+    sent.erase(sit);
+    if (was_received) peer_rib.erase(rit);
+    return true;
+  }
+  if (was_sent) {
+    sit->second = *adv;
+  } else {
+    sent.emplace(prefix, *adv);
+  }
+  if (was_received) {
+    rit->second = std::move(*adv);
+  } else {
+    peer_rib.emplace(prefix, std::move(*adv));
+  }
+  return true;
+}
+
 bool BgpSim::process(const topo::Snapshot& snapshot, topo::NodeId node,
-                     const Ipv4Prefix& prefix, Worklist& work) {
+                     const Ipv4Prefix& prefix, Worklist& work,
+                     UndoLog* log) {
   ++work_items_;
   // ---- Decision: collect candidates -------------------------------------
   std::optional<Best> winner;
@@ -215,46 +272,42 @@ bool BgpSim::process(const topo::Snapshot& snapshot, topo::NodeId node,
   }
 
   // ---- Loc-RIB update -----------------------------------------------------
-  auto bit = best_[node].find(prefix);
-  const bool had = bit != best_[node].end();
+  auto& table = best_[node];
+  const auto bit = table.find(prefix);
+  const bool had = bit != table.end();
   if (had && winner && bit->second == *winner) return false;
   if (!had && !winner) return false;
-  if (winner) {
-    best_[node][prefix] = *winner;
+  if (log) {
+    log->best.push_back(
+        {{node, prefix},
+         had ? std::optional<Best>(std::move(bit->second)) : std::nullopt});
+  }
+  if (!winner) {
+    table.erase(bit);
+  } else if (had) {
+    bit->second = std::move(*winner);
   } else {
-    best_[node].erase(bit);
+    table.emplace(prefix, std::move(*winner));
   }
 
   // ---- Advertise the change on every session ------------------------------
   for (const Session* session : by_node_[node]) {
     const bool a_to_b = session->a == node;
     const topo::NodeId peer = a_to_b ? session->b : session->a;
-    std::optional<BgpRoute> adv =
-        advertisement(snapshot, *session, a_to_b, prefix);
-    auto& sent = sent_[{node, peer, session->link}];
-    auto& peer_rib = rib_in_[{peer, node, session->link}];
-    auto sit = sent.find(prefix);
-    const bool was_sent = sit != sent.end();
-    if (adv) {
-      if (was_sent && sit->second == *adv) continue;
-      sent[prefix] = *adv;
-      peer_rib[prefix] = *adv;
-    } else {
-      if (!was_sent) continue;
-      sent.erase(sit);
-      peer_rib.erase(prefix);
+    if (send(node, peer, session->link, prefix,
+             advertisement(snapshot, *session, a_to_b, prefix), log)) {
+      work.insert({peer, prefix});
     }
-    work.insert({peer, prefix});
   }
   return true;
 }
 
 void BgpSim::resend_all(const topo::Snapshot& snapshot,
-                        const Session& session, bool a_to_b, Worklist& work) {
+                        const Session& session, bool a_to_b, Worklist& work,
+                        UndoLog* log) {
   const topo::NodeId sender = a_to_b ? session.a : session.b;
   const topo::NodeId peer = a_to_b ? session.b : session.a;
-  auto& sent = sent_[{sender, peer, session.link}];
-  auto& peer_rib = rib_in_[{peer, sender, session.link}];
+  const Routes& sent = adj_rib(true, {sender, peer, session.link}, log);
 
   // Prefixes to (re)advertise: everything in Loc-RIB plus everything
   // previously sent (for withdrawals).
@@ -268,25 +321,15 @@ void BgpSim::resend_all(const topo::Snapshot& snapshot,
     prefixes.insert(prefix);
   }
   for (const Ipv4Prefix& prefix : prefixes) {
-    std::optional<BgpRoute> adv =
-        advertisement(snapshot, session, a_to_b, prefix);
-    auto sit = sent.find(prefix);
-    const bool was_sent = sit != sent.end();
-    if (adv) {
-      if (was_sent && sit->second == *adv) continue;
-      sent[prefix] = *adv;
-      peer_rib[prefix] = *adv;
-    } else {
-      if (!was_sent) continue;
-      sent.erase(sit);
-      peer_rib.erase(prefix);
+    if (send(sender, peer, session.link, prefix,
+             advertisement(snapshot, session, a_to_b, prefix), log)) {
+      work.insert({peer, prefix});
     }
-    work.insert({peer, prefix});
   }
 }
 
 void BgpSim::converge(const topo::Snapshot& snapshot, Worklist& work,
-                      std::vector<RouteKey>& changed) {
+                      std::vector<RouteKey>& changed, UndoLog* log) {
   size_t guard = 0;
   const size_t limit =
       1000 + 200 * snapshot.topology.num_nodes() *
@@ -295,7 +338,7 @@ void BgpSim::converge(const topo::Snapshot& snapshot, Worklist& work,
     DNA_CHECK_MSG(++guard < limit * 100, "BGP failed to converge");
     auto [node, prefix] = *work.begin();
     work.erase(work.begin());
-    if (process(snapshot, node, prefix, work)) {
+    if (process(snapshot, node, prefix, work, log)) {
       changed.emplace_back(node, prefix);
     }
   }
@@ -304,7 +347,7 @@ void BgpSim::converge(const topo::Snapshot& snapshot, Worklist& work,
 std::vector<RouteKey> BgpSim::update(
     const topo::Snapshot& snapshot,
     const std::vector<config::ConfigChange>& changes,
-    const std::set<topo::NodeId>& ospf_dirty) {
+    const std::set<topo::NodeId>& ospf_dirty, UndoLog* log) {
   const size_t n = snapshot.topology.num_nodes();
   DNA_CHECK_MSG(best_.size() == n, "node count changed; rebuild required");
   work_items_ = 0;
@@ -319,25 +362,33 @@ std::vector<RouteKey> BgpSim::update(
   std::set_difference(next_sessions.begin(), next_sessions.end(),
                       sessions_.begin(), sessions_.end(),
                       std::back_inserter(added));
-  sessions_ = std::move(next_sessions);
-  by_node_.assign(n, {});
-  for (const Session& session : sessions_) {
-    by_node_[session.a].push_back(&session);
-    by_node_[session.b].push_back(&session);
+  if (!removed.empty() || !added.empty()) {
+    if (log) log->sessions = std::move(sessions_);
+    sessions_ = std::move(next_sessions);
+    index_sessions(n);
   }
 
+  // Drops a per-session map, logging it.
+  auto erase_adj_rib = [&](AdjRibs& table, AdjRibs::iterator it) {
+    if (log) {
+      log->adj.push_back({&table == &sent_, it->first, std::nullopt,
+                          std::nullopt, std::move(it->second)});
+    }
+    table.erase(it);
+  };
   for (const Session& session : removed) {
     for (bool a_to_b : {true, false}) {
       const topo::NodeId sender = a_to_b ? session.a : session.b;
       const topo::NodeId peer = a_to_b ? session.b : session.a;
-      sent_.erase({sender, peer, session.link});
+      auto sit = sent_.find({sender, peer, session.link});
+      if (sit != sent_.end()) erase_adj_rib(sent_, sit);
       auto rit = rib_in_.find({peer, sender, session.link});
       if (rit != rib_in_.end()) {
         for (const auto& [prefix, route] : rit->second) {
           (void)route;
           work.insert({peer, prefix});
         }
-        rib_in_.erase(rit);
+        erase_adj_rib(rib_in_, rit);
       }
     }
   }
@@ -345,8 +396,8 @@ std::vector<RouteKey> BgpSim::update(
   for (const Session& session : added) {
     const Session* stored = find_session(session.a, session.b, session.link);
     DNA_CHECK(stored != nullptr);
-    resend_all(snapshot, *stored, /*a_to_b=*/true, work);
-    resend_all(snapshot, *stored, /*a_to_b=*/false, work);
+    resend_all(snapshot, *stored, /*a_to_b=*/true, work, log);
+    resend_all(snapshot, *stored, /*a_to_b=*/false, work, log);
   }
 
   // ---- Origination diff ----------------------------------------------------
@@ -360,8 +411,8 @@ std::vector<RouteKey> BgpSim::update(
   }
   for (topo::NodeId node : ospf_dirty) orig_candidates.insert(node);
   for (topo::NodeId node : orig_candidates) {
-    std::map<Ipv4Prefix, BgpRoute> next_orig =
-        derive_originations(snapshot, node);
+    Routes next_orig = derive_originations(snapshot, node);
+    if (next_orig == originations_[node]) continue;
     for (const auto& [prefix, route] : originations_[node]) {
       auto it = next_orig.find(prefix);
       if (it == next_orig.end() || !(it->second == route)) {
@@ -371,6 +422,9 @@ std::vector<RouteKey> BgpSim::update(
     for (const auto& [prefix, route] : next_orig) {
       (void)route;
       if (!originations_[node].count(prefix)) work.insert({node, prefix});
+    }
+    if (log) {
+      log->originations.emplace_back(node, std::move(originations_[node]));
     }
     originations_[node] = std::move(next_orig);
   }
@@ -395,15 +449,50 @@ std::vector<RouteKey> BgpSim::update(
         }
       }
       // Re-export: our advertisements may be filtered differently now.
-      resend_all(snapshot, *session, node_is_a, work);
+      resend_all(snapshot, *session, node_is_a, work, log);
     }
   }
 
   std::vector<RouteKey> changed;
-  converge(snapshot, work, changed);
+  converge(snapshot, work, changed, log);
   std::sort(changed.begin(), changed.end());
   changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
   return changed;
+}
+
+size_t BgpSim::rollback(UndoLog&& log) {
+  for (auto it = log.originations.rbegin(); it != log.originations.rend();
+       ++it) {
+    originations_[it->first] = std::move(it->second);
+  }
+  for (auto it = log.best.rbegin(); it != log.best.rend(); ++it) {
+    auto& table = best_[it->key.first];
+    if (it->best) {
+      table[it->key.second] = std::move(*it->best);
+    } else {
+      table.erase(it->key.second);
+    }
+  }
+  for (auto it = log.adj.rbegin(); it != log.adj.rend(); ++it) {
+    AdjRibs& table = it->sent ? sent_ : rib_in_;
+    if (it->prefix) {
+      Routes& routes = table.at(it->key);
+      if (it->route) {
+        routes[*it->prefix] = std::move(*it->route);
+      } else {
+        routes.erase(*it->prefix);
+      }
+    } else if (it->routes) {
+      table.emplace(it->key, std::move(*it->routes));
+    } else {
+      table.erase(it->key);
+    }
+  }
+  if (log.sessions) {
+    sessions_ = std::move(*log.sessions);
+    index_sessions(best_.size());
+  }
+  return log.originations.size() + log.best.size() + log.adj.size();
 }
 
 }  // namespace dna::cp

@@ -19,10 +19,16 @@
 //  * AS-path loop rejection on import;
 //  * `network` statements originate unconditionally; redistribution pulls
 //    connected subnets, static prefixes, and (when enabled) OSPF routes.
+//
+// An update can keep an undo log: the old value of each Loc-RIB, Adj-RIB-In
+// and sent entry it writes, each per-session map it creates or erases, each
+// origination map it replaces, and the old session list. rollback() writes
+// them back, last first.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "controlplane/ospf.h"
@@ -50,26 +56,6 @@ class BgpSim {
   /// `ospf` may be null when no node redistributes OSPF into BGP.
   explicit BgpSim(const OspfModel* ospf = nullptr) : ospf_(ospf) {}
 
-  /// Full build: derive sessions and originations, converge from scratch.
-  void build(const topo::Snapshot& snapshot);
-
-  /// Incremental move to `snapshot`; `changes` identifies policy edits that
-  /// require re-import/re-export. `ospf_dirty` lists nodes whose OSPF routes
-  /// changed (feeds redistribution). Returns the (node, prefix) pairs whose
-  /// Loc-RIB entry changed, sorted and unique. A pair whose entry changed
-  /// and changed back during convergence is listed too.
-  std::vector<RouteKey> update(const topo::Snapshot& snapshot,
-                               const std::vector<config::ConfigChange>& changes,
-                               const std::set<topo::NodeId>& ospf_dirty);
-
-  const std::map<Ipv4Prefix, Best>& best(topo::NodeId node) const {
-    return best_.at(node);
-  }
-
-  /// Number of (node, prefix) decision evaluations in the last build/update;
-  /// the convergence-effort metric for experiment F7.
-  size_t last_work_items() const { return work_items_; }
-
  private:
   struct Session {
     topo::NodeId a = topo::kNoNode;
@@ -84,24 +70,88 @@ class BgpSim {
 
   /// Directed session endpoint: (receiver/sender node, peer node, link).
   using SessKey = std::tuple<topo::NodeId, topo::NodeId, uint32_t>;
+  using Routes = std::map<Ipv4Prefix, BgpRoute>;
+  using AdjRibs = std::map<SessKey, Routes>;  // Adj-RIB-In or sent, by key
+
+ public:
+  /// What a logged update() overwrote, for rollback().
+  struct UndoLog {
+    /// The old session list, when the update changed it.
+    std::optional<std::vector<Session>> sessions;
+    /// A Loc-RIB entry as it was before a write; none if it was absent.
+    struct BestWrite {
+      RouteKey key;
+      std::optional<Best> best;
+    };
+    std::vector<BestWrite> best;
+    /// An Adj-RIB-In or sent write: one entry's old value when `prefix` is
+    /// set, else the whole per-session map's. None if it was absent.
+    struct AdjWrite {
+      bool sent = false;  // sent_, else rib_in_
+      SessKey key;
+      std::optional<Ipv4Prefix> prefix;
+      std::optional<BgpRoute> route;
+      std::optional<Routes> routes;
+    };
+    std::vector<AdjWrite> adj;
+    std::vector<std::pair<topo::NodeId, Routes>> originations;
+  };
+
+  /// Full build: derive sessions and originations, converge from scratch.
+  void build(const topo::Snapshot& snapshot);
+
+  /// Incremental move to `snapshot`; `changes` identifies policy edits that
+  /// require re-import/re-export. `ospf_dirty` lists nodes whose OSPF routes
+  /// changed (feeds redistribution). Returns the (node, prefix) pairs whose
+  /// Loc-RIB entry changed, sorted and unique. A pair whose entry changed
+  /// and changed back during convergence is listed too.
+  /// If `log` is given, everything the update overwrites is logged in it.
+  std::vector<RouteKey> update(const topo::Snapshot& snapshot,
+                               const std::vector<config::ConfigChange>& changes,
+                               const std::set<topo::NodeId>& ospf_dirty,
+                               UndoLog* log = nullptr);
+
+  /// Undoes the update that filled `log`, the last one made; returns the
+  /// number of entries and maps written back.
+  size_t rollback(UndoLog&& log);
+
+  const std::map<Ipv4Prefix, Best>& best(topo::NodeId node) const {
+    return best_.at(node);
+  }
+
+  /// Number of (node, prefix) decision evaluations in the last build/update;
+  /// the convergence-effort metric for experiment F7.
+  size_t last_work_items() const { return work_items_; }
+
+ private:
   using Worklist = std::set<std::pair<topo::NodeId, Ipv4Prefix>>;
 
   std::vector<Session> derive_sessions(const topo::Snapshot& snapshot) const;
-  std::map<Ipv4Prefix, BgpRoute> derive_originations(
-      const topo::Snapshot& snapshot, topo::NodeId node) const;
+  Routes derive_originations(const topo::Snapshot& snapshot,
+                             topo::NodeId node) const;
+  /// Points by_node_ into sessions_.
+  void index_sessions(size_t num_nodes);
 
   /// Processes the worklist to a fixed point, appending each pair whose
   /// Loc-RIB entry changed to `changed` (possibly more than once).
   void converge(const topo::Snapshot& snapshot, Worklist& work,
-                std::vector<RouteKey>& changed);
+                std::vector<RouteKey>& changed, UndoLog* log);
   /// Recomputes the best route at (node, prefix); updates Loc-RIB and
   /// advertises changes. Returns true if the Loc-RIB entry changed.
   bool process(const topo::Snapshot& snapshot, topo::NodeId node,
-               const Ipv4Prefix& prefix, Worklist& work);
+               const Ipv4Prefix& prefix, Worklist& work, UndoLog* log);
   /// Re-sends (sender -> peer) advertisements for all known prefixes,
   /// enqueueing the peer where the advertisement changed.
   void resend_all(const topo::Snapshot& snapshot, const Session& session,
-                  bool a_to_b, Worklist& work);
+                  bool a_to_b, Worklist& work, UndoLog* log);
+  /// Records (sender -> peer) advertising `adv` for `prefix` (nullopt:
+  /// withdrawing it) in sent_ and the peer's Adj-RIB-In; returns false if
+  /// that was already sent.
+  bool send(topo::NodeId sender, topo::NodeId peer, uint32_t link,
+            const Ipv4Prefix& prefix, std::optional<BgpRoute> adv,
+            UndoLog* log);
+  /// The per-session map `table[key]`, created (and logged) if absent.
+  Routes& adj_rib(bool sent, const SessKey& key, UndoLog* log);
   /// Computes what `sender` advertises to the peer for `prefix`
   /// (nullopt = withdraw).
   std::optional<BgpRoute> advertisement(const topo::Snapshot& snapshot,
@@ -114,10 +164,10 @@ class BgpSim {
   const OspfModel* ospf_ = nullptr;
   std::vector<Session> sessions_;                      // sorted
   std::vector<std::vector<const Session*>> by_node_;   // sessions per node
-  std::map<SessKey, std::map<Ipv4Prefix, BgpRoute>> rib_in_;  // receiver key
-  std::map<SessKey, std::map<Ipv4Prefix, BgpRoute>> sent_;    // sender key
+  AdjRibs rib_in_;  // receiver key
+  AdjRibs sent_;    // sender key
   std::vector<std::map<Ipv4Prefix, Best>> best_;
-  std::vector<std::map<Ipv4Prefix, BgpRoute>> originations_;
+  std::vector<Routes> originations_;
   size_t work_items_ = 0;
 };
 

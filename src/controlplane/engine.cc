@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/error.h"
+
 namespace dna::cp {
 
 namespace {
@@ -136,7 +138,8 @@ void ControlPlaneEngine::patch_entry(topo::NodeId node,
   fib.insert(fib.begin() + at, std::move(*next));
 }
 
-AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
+AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target,
+                                          UndoLog* log) {
   target.validate();
   timers_.clear();
   AdvanceResult result;
@@ -163,6 +166,7 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
 
   if (node_set_changed) {
     // Structural change: rebuild everything, report the FIB diff.
+    DNA_CHECK_MSG(log == nullptr, "a structural change cannot be logged");
     std::vector<Fib> old_fibs = std::move(fibs_);
     snap_ = std::move(target);
     full_build();
@@ -246,18 +250,20 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
   std::vector<RouteKey> ospf_changed;
   if (ospf_input) {
     sw.reset();
-    ospf_changed = ospf_.update(target);
+    ospf_changed = ospf_.update(target, log ? &log->ospf : nullptr);
     timers_.add("ospf", sw.elapsed_seconds());
   }
   if (bgp_input || !ospf_changed.empty()) {
     sw.reset();
     const std::vector<RouteKey> bgp_changed =
-        bgp_.update(target, result.config_changes, nodes_of(ospf_changed));
+        bgp_.update(target, result.config_changes, nodes_of(ospf_changed),
+                    log ? &log->bgp : nullptr);
     timers_.add("bgp", sw.elapsed_seconds());
     merges.insert(merges.end(), bgp_changed.begin(), bgp_changed.end());
   }
   merges.insert(merges.end(), ospf_changed.begin(), ospf_changed.end());
 
+  if (log) log->snapshot = std::move(snap_);
   snap_ = std::move(target);
   fib_merges_ = 0;
   if (merges.empty()) return result;
@@ -272,6 +278,40 @@ AdvanceResult ControlPlaneEngine::advance(topo::Snapshot target) {
   }
   timers_.add("fib", sw.elapsed_seconds());
   return result;
+}
+
+size_t ControlPlaneEngine::rollback(UndoLog&& log, const FibDelta& fib_delta) {
+  snap_ = std::move(log.snapshot);
+  const size_t entries = ospf_.rollback(std::move(log.ospf)) +
+                         bgp_.rollback(std::move(log.bgp));
+  // Per node, both lists are sorted by prefix and a changed entry is in
+  // both: an added prefix goes, a removed entry comes back.
+  for (const auto& [node, delta] : fib_delta.by_node) {
+    Fib& fib = fibs_[node];
+    auto find = [&](const Ipv4Prefix& prefix) {
+      return std::lower_bound(fib.begin(), fib.end(), prefix,
+                              [](const FibEntry& entry, const Ipv4Prefix& p) {
+                                return entry.prefix < p;
+                              });
+    };
+    auto removed = delta.removed.begin();
+    for (const FibEntry& added : delta.added) {
+      for (; removed != delta.removed.end() && removed->prefix < added.prefix;
+           ++removed) {
+        fib.insert(find(removed->prefix), *removed);
+      }
+      const auto it = find(added.prefix);
+      if (removed != delta.removed.end() && removed->prefix == added.prefix) {
+        *it = *removed++;
+      } else {
+        fib.erase(it);
+      }
+    }
+    for (; removed != delta.removed.end(); ++removed) {
+      fib.insert(find(removed->prefix), *removed);
+    }
+  }
+  return entries + fib_delta.total_changes();
 }
 
 std::vector<Fib> ControlPlaneEngine::compute_fibs(

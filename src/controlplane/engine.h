@@ -23,6 +23,13 @@
 // the FIB delta lists the changes per node in prefix order, as diff_fib
 // does. A skipped stage is absent from timers(). Structural topology
 // changes (node/link add/remove) fall back to a full rebuild.
+//
+// An advance given an undo log can be rolled back: the log keeps the old
+// snapshot, swapped out rather than copied, and the OSPF and BGP stages'
+// own logs. FIBs need no log of their own: rollback() patches them back
+// from the advance's FIB delta, whose removed entries are the old values.
+// A structural change cannot be logged; a caller that must undo one keeps
+// the old engine instead.
 #pragma once
 
 #include "config/diff.h"
@@ -42,6 +49,13 @@ struct AdvanceResult {
 
 class ControlPlaneEngine {
  public:
+  /// What a logged advance() overwrote, for rollback().
+  struct UndoLog {
+    topo::Snapshot snapshot;  // the old one
+    OspfModel::UndoLog ospf;
+    BgpSim::UndoLog bgp;
+  };
+
   explicit ControlPlaneEngine(topo::Snapshot snapshot);
 
   const topo::Snapshot& snapshot() const { return snap_; }
@@ -49,8 +63,16 @@ class ControlPlaneEngine {
   const OspfModel& ospf() const { return ospf_; }
   const BgpSim& bgp() const { return bgp_; }
 
-  /// Moves to `target` incrementally and reports what changed.
-  AdvanceResult advance(topo::Snapshot target);
+  /// Moves to `target` incrementally and reports what changed. If `log` is
+  /// given, everything the advance overwrites is logged in it; the change
+  /// must not be structural.
+  AdvanceResult advance(topo::Snapshot target, UndoLog* log = nullptr);
+
+  /// Undoes the last advance, which `log` logged and which reported
+  /// `fib_delta`. Returns the number of entries written back: the FIB
+  /// delta's lines, OSPF arcs, distances and routes, and BGP entries and
+  /// maps.
+  size_t rollback(UndoLog&& log, const FibDelta& fib_delta);
 
   /// Stage timings ("ospf", "bgp", "fib", "config-diff") of the last
   /// advance() / construction; an advance lists only the stages it ran.

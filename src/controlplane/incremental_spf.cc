@@ -19,16 +19,17 @@ DynamicSssp::DynamicSssp(const WeightedDigraph* graph, topo::NodeId source)
 
 void DynamicSssp::recompute() { dist_ = dijkstra(*graph_, source_); }
 
-std::vector<topo::NodeId> DynamicSssp::arc_updated(topo::NodeId from,
-                                                   topo::NodeId to, int old_w,
-                                                   int new_w) {
+std::vector<topo::NodeId> DynamicSssp::arc_updated(
+    topo::NodeId from, topo::NodeId to, int old_w, int new_w,
+    std::vector<DistWrite>* log) {
   dist_.resize(graph_->num_nodes(), kInfDist);
-  if (new_w < old_w) return on_decrease(to);
-  if (new_w > old_w) return on_increase(from, to, old_w);
+  if (new_w < old_w) return on_decrease(to, log);
+  if (new_w > old_w) return on_increase(from, to, old_w, log);
   return {};
 }
 
-std::vector<topo::NodeId> DynamicSssp::on_decrease(topo::NodeId to) {
+std::vector<topo::NodeId> DynamicSssp::on_decrease(
+    topo::NodeId to, std::vector<DistWrite>* log) {
   // The arc head may have improved; one pass of Dijkstra relaxation from the
   // improved frontier settles everything downstream.
   int best = kInfDist;
@@ -39,9 +40,13 @@ std::vector<topo::NodeId> DynamicSssp::on_decrease(topo::NodeId to) {
   if (to == source_) best = 0;
   if (best >= dist_[to]) return {};  // not an improvement
 
+  auto write = [&](topo::NodeId node, int dist) {
+    if (log) log->push_back({source_, node, dist_[node]});
+    dist_[node] = dist;
+  };
   std::unordered_set<topo::NodeId> changed{to};
   MinHeap heap;
-  dist_[to] = best;
+  write(to, best);
   heap.push({best, to});
   while (!heap.empty()) {
     auto [d, node] = heap.top();
@@ -51,7 +56,7 @@ std::vector<topo::NodeId> DynamicSssp::on_decrease(topo::NodeId to) {
       const int nd = d + arc.weight;
       if (nd < dist_[arc.to]) {
         changed.insert(arc.to);
-        dist_[arc.to] = nd;
+        write(arc.to, nd);
         heap.push({nd, arc.to});
       }
     }
@@ -59,9 +64,9 @@ std::vector<topo::NodeId> DynamicSssp::on_decrease(topo::NodeId to) {
   return {changed.begin(), changed.end()};
 }
 
-std::vector<topo::NodeId> DynamicSssp::on_increase(topo::NodeId from,
-                                                   topo::NodeId to,
-                                                   int old_w) {
+std::vector<topo::NodeId> DynamicSssp::on_increase(
+    topo::NodeId from, topo::NodeId to, int old_w,
+    std::vector<DistWrite>* log) {
   if (dist_[from] >= kInfDist) return {};
   if (dist_[from] + old_w != dist_[to]) return {};  // arc was not tight
   if (to == source_) return {};                     // source is always 0
@@ -129,9 +134,12 @@ std::vector<topo::NodeId> DynamicSssp::on_increase(topo::NodeId from,
     }
   }
 
+  // Only orphans were written, each from its distance in old_dist.
   std::vector<topo::NodeId> changed;
   for (auto& [node, before] : old_dist) {
-    if (dist_[node] != before) changed.push_back(node);
+    if (dist_[node] == before) continue;
+    changed.push_back(node);
+    if (log) log->push_back({source_, node, before});
   }
   return changed;
 }

@@ -110,7 +110,8 @@ void OspfModel::build(const topo::Snapshot& snapshot) {
   }
 }
 
-bool OspfModel::compute_route(topo::NodeId src, const Ipv4Prefix& prefix) {
+bool OspfModel::compute_route(topo::NodeId src, const Ipv4Prefix& prefix,
+                              UndoLog* log) {
   auto& table = routes_[src];
   auto existing = table.find(prefix);
 
@@ -155,26 +156,34 @@ bool OspfModel::compute_route(topo::NodeId src, const Ipv4Prefix& prefix) {
 
   if (!have_route) {
     if (existing == table.end()) return false;
+    if (log) {
+      log->routes.push_back(
+          {src, prefix, std::move(existing->second), std::nullopt});
+    }
     table.erase(existing);
     return true;
   }
-  if (existing != table.end() && existing->second == next) return false;
-  table[prefix] = std::move(next);
+  if (existing == table.end()) {
+    const auto at = table.emplace(prefix, std::move(next)).first;
+    if (log) log->routes.push_back({src, prefix, std::nullopt, at});
+    return true;
+  }
+  if (existing->second == next) return false;
+  if (log) {
+    log->routes.push_back({src, prefix, std::move(existing->second), existing});
+  }
+  existing->second = std::move(next);
   return true;
 }
 
-std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot) {
+std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot,
+                                        UndoLog* log) {
   Inputs next = derive_inputs(snapshot);
   DNA_CHECK_MSG(next.graph.num_nodes() == in_.graph.num_nodes(),
                 "node count changed; rebuild required");
   const size_t n = in_.graph.num_nodes();
 
   // ---- Arc diff: key (from, to, link) -> weight -------------------------
-  struct ArcEvent {
-    topo::NodeId from, to;
-    uint32_t link;
-    int old_w, new_w;
-  };
   std::vector<ArcEvent> events;
   for (topo::NodeId from = 0; from < n; ++from) {
     auto weight_of = [](const std::vector<Arc>& arcs, topo::NodeId to,
@@ -201,33 +210,34 @@ std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot) {
   // ---- Apply events: mutate the shared graph, update every source -------
   std::vector<std::set<topo::NodeId>> changed_dests(n);
   std::set<topo::NodeId> incident;  // sources with a changed outgoing arc
-  auto mutate_arc = [&](const ArcEvent& ev) {
-    auto apply = [&](std::vector<Arc>& arcs, topo::NodeId endpoint) {
-      for (size_t i = 0; i < arcs.size(); ++i) {
-        if (arcs[i].to == endpoint && arcs[i].link == ev.link) {
-          if (ev.new_w >= kInfDist) {
-            arcs[i] = arcs.back();
-            arcs.pop_back();
-          } else {
-            arcs[i].weight = ev.new_w;
-          }
-          return;
+  // Returns the position the event changed in `arcs`.
+  auto mutate = [](std::vector<Arc>& arcs, topo::NodeId endpoint,
+                   const ArcEvent& ev) -> uint32_t {
+    for (uint32_t i = 0; i < arcs.size(); ++i) {
+      if (arcs[i].to == endpoint && arcs[i].link == ev.link) {
+        if (ev.new_w >= kInfDist) {
+          arcs[i] = arcs.back();
+          arcs.pop_back();
+        } else {
+          arcs[i].weight = ev.new_w;
         }
+        return i;
       }
-      DNA_CHECK(ev.old_w >= kInfDist);  // insertion
-      arcs.push_back({endpoint, ev.new_w, ev.link});
-    };
-    apply(in_.graph.out[ev.from], ev.to);
-    // `in` lists store the *source* in Arc::to.
-    apply(in_.graph.in[ev.to], ev.from);
+    }
+    DNA_CHECK(ev.old_w >= kInfDist);  // insertion
+    arcs.push_back({endpoint, ev.new_w, ev.link});
+    return static_cast<uint32_t>(arcs.size() - 1);
   };
 
-  for (const ArcEvent& ev : events) {
-    mutate_arc(ev);
+  for (ArcEvent& ev : events) {
+    ev.out_pos = mutate(in_.graph.out[ev.from], ev.to, ev);
+    // `in` lists store the *source* in Arc::to.
+    ev.in_pos = mutate(in_.graph.in[ev.to], ev.from, ev);
     incident.insert(ev.from);
     for (topo::NodeId src = 0; src < n; ++src) {
-      for (topo::NodeId t :
-           sssp_[src]->arc_updated(ev.from, ev.to, ev.old_w, ev.new_w)) {
+      for (topo::NodeId t : sssp_[src]->arc_updated(
+               ev.from, ev.to, ev.old_w, ev.new_w,
+               log ? &log->dists : nullptr)) {
         changed_dests[src].insert(t);
       }
     }
@@ -245,7 +255,10 @@ std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot) {
     (void)advertisers;
     if (!in_.advertisers.count(prefix)) changed_prefixes.insert(prefix);
   }
-  in_.advertisers = std::move(next.advertisers);
+  if (!changed_prefixes.empty()) {
+    if (log) log->advertisers = std::move(in_.advertisers);
+    in_.advertisers = std::move(next.advertisers);
+  }
 
   // ---- Recompute affected routes -----------------------------------------
   // Sources ascend and each source's prefixes are a sorted set, so the
@@ -285,10 +298,48 @@ std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot) {
       }
     }
     for (const Ipv4Prefix& prefix : affected) {
-      if (compute_route(src, prefix)) changed.emplace_back(src, prefix);
+      if (compute_route(src, prefix, log)) changed.emplace_back(src, prefix);
     }
   }
+  if (log) log->arcs = std::move(events);
   return changed;
+}
+
+size_t OspfModel::rollback(UndoLog&& log) {
+  for (auto it = log.routes.rbegin(); it != log.routes.rend(); ++it) {
+    if (!it->route) {
+      routes_[it->src].erase(*it->at);
+    } else if (it->at) {
+      (*it->at)->second = std::move(*it->route);
+    } else {
+      routes_[it->src].emplace(it->prefix, std::move(*it->route));
+    }
+  }
+  for (auto it = log.dists.rbegin(); it != log.dists.rend(); ++it) {
+    sssp_[it->source]->restore(*it);
+  }
+  if (log.advertisers) in_.advertisers = std::move(*log.advertisers);
+  // Each event inverted, last first: a removal is put back where it was
+  // (and the arc that filled its slot back at the end), an insertion is
+  // the last arc of its lists, and a weight change is written back.
+  auto undo = [](std::vector<Arc>& arcs, topo::NodeId endpoint,
+                 const ArcEvent& ev, uint32_t pos) {
+    if (ev.old_w >= kInfDist) {
+      arcs.pop_back();
+    } else if (ev.new_w < kInfDist) {
+      arcs[pos].weight = ev.old_w;
+    } else if (pos == arcs.size()) {
+      arcs.push_back({endpoint, ev.old_w, ev.link});
+    } else {
+      arcs.push_back(arcs[pos]);
+      arcs[pos] = {endpoint, ev.old_w, ev.link};
+    }
+  };
+  for (auto it = log.arcs.rbegin(); it != log.arcs.rend(); ++it) {
+    undo(in_.graph.out[it->from], it->to, *it, it->out_pos);
+    undo(in_.graph.in[it->to], it->from, *it, it->in_pos);
+  }
+  return log.routes.size() + log.dists.size() + log.arcs.size();
 }
 
 }  // namespace dna::cp

@@ -29,6 +29,11 @@ bool DnaEngine::structural_change(const topo::Snapshot& target) const {
 }
 
 NetworkDiff DnaEngine::advance(topo::Snapshot target, Mode mode) {
+  return advance(std::move(target), mode, nullptr);
+}
+
+NetworkDiff DnaEngine::advance(topo::Snapshot target, Mode mode,
+                               UndoLog* log) {
   Stopwatch total;
   if (verdicts_.size() != invariants_.size()) {
     verdicts_.clear();
@@ -38,13 +43,15 @@ NetworkDiff DnaEngine::advance(topo::Snapshot target, Mode mode) {
   }
   const std::vector<bool> before = std::move(verdicts_);
   verdicts_.clear();  // stale until this advance completes
+  if (log) log->verdicts = before;
 
   // A structural change takes the monolithic path, which reads the old
   // engine's facts before it drops it.
   const bool differential =
       mode == Mode::kDifferential && !structural_change(target);
-  NetworkDiff diff = differential ? advance_differential(std::move(target))
-                                  : advance_monolithic(std::move(target));
+  NetworkDiff diff = differential
+                         ? advance_differential(std::move(target), log)
+                         : advance_monolithic(std::move(target), log);
 
   // Re-evaluate every invariant after a monolithic advance or a link
   // change; otherwise only those whose traffic overlaps a re-verified EC.
@@ -82,13 +89,23 @@ NetworkDiff DnaEngine::advance(topo::Snapshot target, Mode mode) {
 }
 
 NetworkDiff DnaEngine::preview(topo::Snapshot target, Mode mode) {
-  topo::Snapshot base = cp_->snapshot();
-  NetworkDiff diff = advance(std::move(target), mode);
-  advance(std::move(base), mode);
+  UndoLog log;
+  NetworkDiff diff = advance(std::move(target), mode, &log);
+  verdicts_ = std::move(log.verdicts);
+  if (log.old_cp) {
+    cp_ = std::move(log.old_cp);
+    dp_ = std::move(log.old_dp);
+    rollback_entries_ = 0;
+  } else {
+    // The verifier re-reads its caches from the restored snapshot.
+    rollback_entries_ = cp_->rollback(std::move(log.cp), diff.fib_delta) +
+                        dp_->rollback(std::move(log.dp), diff.fib_delta);
+  }
   return diff;
 }
 
-NetworkDiff DnaEngine::advance_monolithic(topo::Snapshot target) {
+NetworkDiff DnaEngine::advance_monolithic(topo::Snapshot target,
+                                          UndoLog* log) {
   NetworkDiff diff;
   diff.used_monolithic = true;
 
@@ -130,14 +147,20 @@ NetworkDiff DnaEngine::advance_monolithic(topo::Snapshot target) {
   diff.affected_ecs = next_dp->num_ecs();  // everything was re-verified
   diff.total_ecs = next_dp->num_ecs();
 
+  if (log) {
+    log->old_cp = std::move(cp_);
+    log->old_dp = std::move(dp_);
+  }
   cp_ = std::move(next_cp);
   dp_ = std::move(next_dp);
   return diff;
 }
 
-NetworkDiff DnaEngine::advance_differential(topo::Snapshot target) {
+NetworkDiff DnaEngine::advance_differential(topo::Snapshot target,
+                                            UndoLog* log) {
   NetworkDiff diff;
-  cp::AdvanceResult cp_result = cp_->advance(std::move(target));
+  cp::AdvanceResult cp_result =
+      cp_->advance(std::move(target), log ? &log->cp : nullptr);
   for (const auto& entry : cp_->timers().entries()) {
     diff.stages.add(entry.stage, entry.seconds);
   }
@@ -145,7 +168,8 @@ NetworkDiff DnaEngine::advance_differential(topo::Snapshot target) {
   diff.link_changes = std::move(cp_result.link_changes);
 
   diff.reach_delta = dp_->apply(&cp_->snapshot(), cp_result.fib_delta,
-                                diff.config_changes);
+                                diff.config_changes,
+                                log ? &log->dp : nullptr);
   for (const auto& entry : dp_->timers().entries()) {
     diff.stages.add(entry.stage, entry.seconds);
   }

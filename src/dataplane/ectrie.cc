@@ -23,6 +23,14 @@ std::pair<EcId, EcId> EcIndex::add_boundary(uint32_t addr) {
   return {child, parent};
 }
 
+void EcIndex::unsplit(EcId child, EcId parent) {
+  DNA_CHECK(child + 1 == ranges_.size() &&
+            ranges_[parent].hi + 1 == ranges_[child].lo);
+  ranges_[parent].hi = ranges_[child].hi;
+  starts_.erase(ranges_[child].lo);
+  ranges_.pop_back();
+}
+
 std::vector<std::pair<EcId, EcId>> EcIndex::insert_prefix(
     const Ipv4Prefix& prefix) {
   std::vector<std::pair<EcId, EcId>> created;

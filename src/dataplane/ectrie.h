@@ -6,9 +6,11 @@
 // and every ACL's destination match are constant, so verification runs once
 // per atom with a representative address (Veriflow-style).
 //
-// Atoms only split (boundaries are never removed when a prefix disappears);
-// a finer-than-necessary partition stays correct and keeps EC ids stable,
-// which the incremental verifier relies on.
+// Under commits, atoms only split (boundaries are never removed when a
+// prefix disappears); a finer-than-necessary partition stays correct and
+// keeps EC ids stable, which the incremental verifier relies on. A rolled
+// back preview undoes its own splits, last first, so the partition and
+// every id return to what they were before it.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,11 @@ class EcIndex {
   /// range the parent covered before the split, so the child's pre-change
   /// verification state is exactly the parent's.
   std::vector<std::pair<EcId, EcId>> insert_prefix(const Ipv4Prefix& prefix);
+
+  /// Undoes the split that created `child`, the newest atom, from
+  /// `parent`: the child's range merges back into the parent's and its id
+  /// is freed.
+  void unsplit(EcId child, EcId parent);
 
   /// Atom ids whose range overlaps `prefix`.
   std::vector<EcId> covering(const Ipv4Prefix& prefix) const;

@@ -9,9 +9,16 @@ void LpmTable::rebuild(const cp::Fib& fib) {
   for (const cp::FibEntry& entry : fib) add(entry);
 }
 
-void LpmTable::patch(const cp::NodeFibDelta& delta) {
-  for (const cp::FibEntry& entry : delta.removed) remove(entry.prefix);
-  for (const cp::FibEntry& entry : delta.added) add(entry);
+void LpmTable::replace(const std::vector<cp::FibEntry>& gone,
+                       const std::vector<cp::FibEntry>& come) {
+  auto next = come.begin();
+  for (const cp::FibEntry& entry : gone) {
+    while (next != come.end() && next->prefix < entry.prefix) ++next;
+    if (next == come.end() || next->prefix != entry.prefix) {
+      remove(entry.prefix);
+    }
+  }
+  for (const cp::FibEntry& entry : come) add(entry);
 }
 
 void LpmTable::add(const cp::FibEntry& entry) {

@@ -17,9 +17,16 @@ class LpmTable {
 
   void rebuild(const cp::Fib& fib);
 
-  /// Applies a FIB delta: its removed entries go, then its added ones come
-  /// (a changed entry appears in both).
-  void patch(const cp::NodeFibDelta& delta);
+  /// Applies a FIB delta, both of whose lists are sorted by prefix: its
+  /// removed entries go, and its added ones come (a changed entry appears in
+  /// both, and is overwritten in place).
+  void patch(const cp::NodeFibDelta& delta) {
+    replace(delta.removed, delta.added);
+  }
+  /// Undoes patch(delta): its added entries go, its removed ones come back.
+  void revert(const cp::NodeFibDelta& delta) {
+    replace(delta.added, delta.removed);
+  }
 
   /// The longest-prefix entry covering `addr`, or nullptr (drop).
   const cp::FibEntry* lookup(Ipv4Addr addr) const;
@@ -29,6 +36,9 @@ class LpmTable {
  private:
   void add(const cp::FibEntry& entry);
   void remove(const Ipv4Prefix& prefix);
+  /// Removes the prefixes of `gone` that `come` lacks, then adds `come`.
+  void replace(const std::vector<cp::FibEntry>& gone,
+               const std::vector<cp::FibEntry>& come);
 
   std::unordered_map<Ipv4Prefix, cp::FibEntry> entries_;
   std::array<uint32_t, 33> per_length_{};  // entries per prefix length

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "dataplane/ectrie.h"
 #include "dataplane/fib.h"
 #include "topo/snapshot.h"
 
@@ -24,9 +25,18 @@ struct EcGraph {
   bool operator==(const EcGraph&) const = default;
 };
 
-/// Rebuilds `graph` by LPM lookup of `rep` at every node (lpm is by node),
-/// reusing its storage.
+/// One node's row of an EC's graph, as it was before a rebuild changed it.
+struct GraphRow {
+  EcId ec = 0;
+  topo::NodeId node = 0;
+  NodeVerdict verdict;
+};
+
+/// Rebuilds `graph`, EC `ec`'s, by LPM lookup of `rep` at every node (lpm
+/// is by node), writing only the rows that changed and reusing their
+/// storage. If `old_rows` is given, each changed row's old value is
+/// appended to it.
 void build_ec_graph(const std::vector<LpmTable>& lpm, Ipv4Addr rep,
-                    EcGraph& graph);
+                    EcGraph& graph, EcId ec, std::vector<GraphRow>* old_rows);
 
 }  // namespace dna::dp

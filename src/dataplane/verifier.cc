@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "dataplane/acl_eval.h"
 #include "util/error.h"
@@ -197,9 +198,9 @@ std::vector<Ipv4Prefix> Verifier::acl_dirty_dsts(
   return dsts;
 }
 
-void Verifier::verify_ec(EcId ec) {
+void Verifier::verify_ec(EcId ec, UndoLog* log) {
   const Ipv4Addr rep = index_.representative(ec);
-  build_ec_graph(lpm_, rep, graphs_[ec]);
+  build_ec_graph(lpm_, rep, graphs_[ec], ec, log ? &log->graph_rows : nullptr);
   compute_reach(graphs_[ec], rep, edges_, reaches_[ec]);
 }
 
@@ -232,7 +233,7 @@ void forwarding_changes(const cp::NodeFibDelta& delta,
 
 ReachDelta Verifier::apply(
     const topo::Snapshot* snapshot, const cp::FibDelta& fib_delta,
-    const std::vector<config::ConfigChange>& config_changes) {
+    const std::vector<config::ConfigChange>& config_changes, UndoLog* log) {
   snap_ = snapshot;
   edges_.topology = &snap_->topology;
   timers_.clear();
@@ -305,6 +306,10 @@ ReachDelta Verifier::apply(
         break;
     }
   }
+  if (log) {
+    log->acl_nodes = nodes_to_refresh;
+    log->interface_nodes = interfaces_changed;
+  }
   const bool link_acl_before =
       !interfaces_changed.empty() && edges_.binds_acl();
   for (topo::NodeId node : nodes_to_refresh) refresh_acl_cache(node);
@@ -324,6 +329,7 @@ ReachDelta Verifier::apply(
 
   // ---- Update the EC index ------------------------------------------------
   std::vector<EcId> affected;
+  const size_t num_atoms = index_.num_atoms();
   std::vector<std::pair<EcId, EcId>> splits;  // (child, parent)
   for (const Ipv4Prefix& prefix : dirty_prefixes) {
     for (const auto& split : index_.insert_prefix(prefix)) {
@@ -333,8 +339,8 @@ ReachDelta Verifier::apply(
   }
   // Atoms created by splits inherit the parent's pre-change reachability,
   // in creation order, so that the before/after diff below is against what
-  // this address range really did before the change. Atoms are never
-  // removed, so the vectors grow to exactly their count.
+  // this address range really did before the change. Only a rollback
+  // removes atoms, so the vectors grow to exactly their count.
   graphs_.reserve(index_.num_atoms());
   graphs_.resize(index_.num_atoms());
   reaches_.reserve(index_.num_atoms());
@@ -358,11 +364,13 @@ ReachDelta Verifier::apply(
   ReachDelta out;
   const size_t n = snap_->topology.num_nodes();
   // Swapping the old reach out leaves the previous EC's in its slot, whose
-  // storage verify_ec reuses.
+  // storage verify_ec reuses. A rollback drops the atoms splits created, so
+  // only older ones log their rows.
   EcReach old_reach;
   for (EcId ec : affected) {
+    UndoLog* row_log = ec < num_atoms ? log : nullptr;
     std::swap(old_reach, reaches_[ec]);
-    verify_ec(ec);
+    verify_ec(ec, row_log);
     const EcReach& now = reaches_[ec];
     const auto& range = index_.range(ec);
     for (topo::NodeId src = 0; src < n; ++src) {
@@ -373,6 +381,11 @@ ReachDelta Verifier::apply(
         }
         for (uint32_t dst : before.minus(now.delivered[src])) {
           out.lost.push_back({src, dst, range.lo, range.hi});
+        }
+        if (row_log) {
+          // Leaves an empty row, which compute_reach re-sizes.
+          row_log->reach_rows.push_back(
+              {ec, src, std::exchange(old_reach.delivered[src], {})});
         }
       }
       const bool loop_before = old_reach.loop.test(src);
@@ -390,11 +403,49 @@ ReachDelta Verifier::apply(
         out.blackholes_lost.push_back({src, range.lo, range.hi});
       }
     }
+    if (row_log && (old_reach.loop != now.loop ||
+                    old_reach.blackhole != now.blackhole)) {
+      row_log->flags.push_back({ec, std::exchange(old_reach.loop, {}),
+                                std::exchange(old_reach.blackhole, {})});
+    }
+  }
+  if (log) {
+    log->num_atoms = num_atoms;
+    log->splits = std::move(splits);
   }
   last_affected_ = std::move(affected);
   timers_.add("verify", sw.elapsed_seconds());
   out.canonicalize();
   return out;
+}
+
+size_t Verifier::rollback(UndoLog&& log, const cp::FibDelta& fib_delta) {
+  for (const auto& [node, delta] : fib_delta.by_node) lpm_[node].revert(delta);
+  size_t entries = fib_delta.total_changes();
+  for (topo::NodeId node : log.acl_nodes) refresh_acl_cache(node);
+  for (topo::NodeId node : log.interface_nodes) {
+    (void)refresh_interface_cache(node);
+  }
+  entries += log.acl_nodes.size() + log.interface_nodes.size();
+  for (auto it = log.flags.rbegin(); it != log.flags.rend(); ++it) {
+    reaches_[it->ec].loop = std::move(it->loop);
+    reaches_[it->ec].blackhole = std::move(it->blackhole);
+  }
+  for (auto it = log.reach_rows.rbegin(); it != log.reach_rows.rend(); ++it) {
+    reaches_[it->ec].delivered[it->src] = std::move(it->delivered);
+  }
+  for (auto it = log.graph_rows.rbegin(); it != log.graph_rows.rend(); ++it) {
+    graphs_[it->ec].verdicts[it->node] = std::move(it->verdict);
+  }
+  for (auto it = log.splits.rbegin(); it != log.splits.rend(); ++it) {
+    index_.unsplit(it->first, it->second);
+  }
+  graphs_.resize(log.num_atoms);
+  reaches_.resize(log.num_atoms);
+  std::erase_if(last_affected_,
+                [&](EcId ec) { return ec >= log.num_atoms; });
+  return entries + log.flags.size() + log.reach_rows.size() +
+         log.graph_rows.size() + log.splits.size();
 }
 
 std::vector<ReachFact> Verifier::all_reach_facts() const {

@@ -50,14 +50,15 @@ struct ScenarioResult {
 bool more_severe(const ScenarioResult& a, const ScenarioResult& b);
 
 /// One worker's wall-time breakdown over a batch — where its time went:
-/// cloning its engine (the one-off base verification), evaluating
-/// candidates, or rewinding back to base between them. Scheduling-
+/// cloning its engine (the one-off base verification), or evaluating
+/// candidates, each a preview that rolls itself back to base. Scheduling-
 /// dependent diagnostics, excluded from str()/to_json().
 struct WorkerTiming {
   size_t worker = 0;
   size_t scenarios = 0;      // scenarios this worker evaluated
+  size_t clones = 0;         // engines built: one, again after a failed preview
   double clone_seconds = 0;  // engine construction + base verification
-  double eval_seconds = 0;   // preview: apply + differential diff + rewind
+  double eval_seconds = 0;   // plan apply + preview (forward + rollback)
 };
 
 struct ScenarioReport {

@@ -12,13 +12,12 @@ namespace dna::scenario {
 
 namespace {
 
-ScenarioResult evaluate(core::DnaEngine& engine, const topo::Snapshot& base,
-                        const ScenarioSpec& spec, const RunnerOptions& options,
-                        size_t index) {
-  // preview() evaluates the candidate and rewinds to base, so the next
-  // scenario this engine takes starts from the same semantic state a fresh
-  // engine would.
-  core::NetworkDiff diff = engine.preview(spec.plan.apply(base), options.mode);
+double seconds_since(uint64_t start_ns) {
+  return static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
+}
+
+ScenarioResult summarize(core::NetworkDiff diff, const ScenarioSpec& spec,
+                         const RunnerOptions& options, size_t index) {
   ScenarioResult result = summarize_diff(diff);
   result.index = index;
   result.name = spec.name;
@@ -74,26 +73,36 @@ ScenarioReport ScenarioRunner::run(const std::vector<ScenarioSpec>& specs,
     const size_t begin = chunk * chunk_len;
     const size_t end = std::min(specs.size(), begin + chunk_len);
     for (size_t index = begin; index < end; ++index) {
+      // A failed preview may leave the engine mid-advance: drop it so the
+      // worker rebuilds a clean clone for its next scenario. A plan that
+      // throws on apply never reached it.
+      bool previewing = false;
       try {
+        const uint64_t apply_start = obs::now_ns();
+        topo::Snapshot target = specs[index].plan.apply(base_);
+        timing.eval_seconds += seconds_since(apply_start);
         if (!engine) {
           const uint64_t clone_start = obs::now_ns();
           engine = std::make_unique<core::DnaEngine>(base_);
           for (const core::Invariant& invariant : invariants_) {
             engine->add_invariant(invariant);
           }
-          timing.clone_seconds +=
-              static_cast<double>(obs::now_ns() - clone_start) * 1e-9;
+          timing.clone_seconds += seconds_since(clone_start);
+          ++timing.clones;
         }
-        const uint64_t eval_start = obs::now_ns();
+        // preview() rolls the engine back to base, so the next scenario it
+        // takes starts from the state a fresh engine would hold.
+        const uint64_t preview_start = obs::now_ns();
+        previewing = true;
+        core::NetworkDiff diff =
+            engine->preview(std::move(target), options.mode);
+        previewing = false;
         report.results[index] =
-            evaluate(*engine, base_, specs[index], options, index);
-        timing.eval_seconds +=
-            static_cast<double>(obs::now_ns() - eval_start) * 1e-9;
+            summarize(std::move(diff), specs[index], options, index);
+        timing.eval_seconds += seconds_since(preview_start);
         ++timing.scenarios;
       } catch (const std::exception& e) {
-        // The engine may be mid-advance; drop it so the worker rebuilds a
-        // clean clone for its next scenario.
-        engine.reset();
+        if (previewing) engine.reset();
         ScenarioResult& failed = report.results[index];
         failed = ScenarioResult{};
         failed.index = index;
@@ -104,7 +113,7 @@ ScenarioReport ScenarioRunner::run(const std::vector<ScenarioSpec>& specs,
         // A non-std exception from a user-supplied plan functor must also
         // fail only its own scenario — letting it escape would reach the
         // pool and abort the whole batch from wait_idle().
-        engine.reset();
+        if (previewing) engine.reset();
         ScenarioResult& failed = report.results[index];
         failed = ScenarioResult{};
         failed.index = index;

@@ -8,8 +8,10 @@
 //
 // Scenarios fan out over a util::ThreadPool. Each worker lazily clones one
 // DnaEngine from the base snapshot and reuses it for every scenario it
-// takes: evaluate the candidate differentially, record the diff, advance
-// back to base. Because every evaluation starts from base semantics, a
+// takes: preview the candidate differentially, which records the diff and
+// rolls the engine back to base. A plan that fails to apply never touches
+// the engine; only a failed preview costs the worker a new clone. Because
+// every evaluation starts from base semantics, a
 // scenario's semantic result is independent of which worker ran it and in
 // what order — the report is deterministic for any thread count (see
 // report.h for the exact contract; tests/test_scenario.cc enforces it).

@@ -155,7 +155,7 @@ struct QueryResult {
 
 /// Evaluates one parsed query against `version`. `engine` must already be
 /// advanced to *version.snapshot (the service's dispatcher guarantees it);
-/// it is only mutated by kWhatIf, which previews and rewinds.
+/// it is only mutated by kWhatIf, whose preview rolls itself back.
 QueryResult eval_query(const Query& query, const Version& version,
                        core::DnaEngine& engine);
 

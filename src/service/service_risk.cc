@@ -60,10 +60,10 @@ std::shared_ptr<const analytics::RiskReport> DnaService::risk_report_at(
 
   std::vector<scenario::ScenarioResult> results(plan.specs.size());
   for (size_t i = 0; i < plan.specs.size(); ++i) {
-    // Same preview-and-rewind discipline as a what-if: a throw mid-preview
-    // leaves the engine mid-advance. On the resident replica that must
-    // reach the dispatcher (which resets it); a scratch engine just dies
-    // with the exception.
+    // Same preview discipline as a what-if: a throw mid-preview leaves the
+    // engine mid-advance. On the resident replica that must reach the
+    // dispatcher (which resets it); a scratch engine just dies with the
+    // exception.
     if (resident_dirty != nullptr && engine == resident) {
       *resident_dirty = true;
     }

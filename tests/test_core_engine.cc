@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "core/engine.h"
 #include "core/report.h"
@@ -340,9 +341,11 @@ TEST(DnaEngine, InterfaceEditReverifiesEveryEcOnlyWhenTheDataPlaneReadsIt) {
   expect_same_semantic_diff(engine.preview(loopback, Mode::kDifferential),
                             monolithic.preview(loopback, Mode::kMonolithic),
                             "loopback without ACLs");
-  EXPECT_EQ(affected(topo::with_interface_enabled(base, "r2", "eth0", false))
-                .first,
-            all);
+  // Each preview's total is its own: the loopback preview's atoms went
+  // with its rollback.
+  const auto [shut, shut_total] =
+      affected(topo::with_interface_enabled(base, "r2", "eth0", false));
+  EXPECT_EQ(shut, shut_total);
   EXPECT_LT(affected(topo::with_link_cost(base, 2, 99)).first, all);
   EXPECT_LT(affected(topo::with_interface_enabled(base, "r0", "host0", false))
                 .first,
@@ -1024,6 +1027,280 @@ std::vector<ChurnCase> fib_oracle_cases() {
 INSTANTIATE_TEST_SUITE_P(Seeds, FibOracle,
                          ::testing::ValuesIn(fib_oracle_cases()),
                          ::testing::PrintToStringParamName());
+
+// ---------------------------------------------------------------------------
+// Preview rollback: a preview logs the old value of everything its forward
+// advance overwrites and rolls back from that log. Around every preview the
+// engine's whole state must therefore be unchanged, in both modes and with
+// real commits interleaved, and the commits must keep matching a monolithic
+// engine's diffs and control plane.
+// ---------------------------------------------------------------------------
+
+/// An edge table's entry with its rule lists by value; none: unbound.
+using BoundAcls = std::pair<std::optional<dp::AclRules>,
+                            std::optional<dp::AclRules>>;
+
+/// Everything a preview writes, read through the engine's accessors.
+struct EngineState {
+  Snapshot snapshot;
+  std::vector<cp::Fib> fibs;
+  std::vector<std::map<Ipv4Prefix, cp::OspfRoute>> ospf_routes;  // by node
+  std::vector<std::vector<int>> distances;                       // by source
+  std::vector<std::map<Ipv4Prefix, cp::BgpSim::Best>> bgp_best;  // by node
+  std::vector<std::pair<uint32_t, uint32_t>> ranges;              // by EC
+  std::vector<dp::EcGraph> graphs;                                // by EC
+  std::vector<dp::EcReach> reaches;                               // by EC
+  std::vector<bool> links_enabled;
+  std::vector<BoundAcls> acls;  // by link direction
+  std::vector<Ipv4Addr> probe_sources;
+
+  explicit EngineState(const DnaEngine& engine)
+      : snapshot(engine.snapshot()), fibs(engine.control_plane().fibs()) {
+    const cp::ControlPlaneEngine& cp = engine.control_plane();
+    for (topo::NodeId node = 0; node < snapshot.topology.num_nodes();
+         ++node) {
+      ospf_routes.push_back(cp.ospf().routes(node));
+      distances.push_back(cp.ospf().dist(node));
+      bgp_best.push_back(cp.bgp().best(node));
+    }
+    const dp::Verifier& dp = engine.verifier();
+    for (dp::EcId ec = 0; ec < dp.num_ecs(); ++ec) {
+      ranges.emplace_back(dp.ec_index().range(ec).lo,
+                          dp.ec_index().range(ec).hi);
+      graphs.push_back(dp.graph(ec));
+      reaches.push_back(dp.reach(ec));
+    }
+    links_enabled = dp.edges().links_enabled;
+    auto by_value = [](const dp::AclRules* rules) {
+      return rules ? std::optional<dp::AclRules>(*rules) : std::nullopt;
+    };
+    for (const dp::EdgeTable::Acls& bound : dp.edges().acls) {
+      acls.emplace_back(by_value(bound.out), by_value(bound.in));
+    }
+    probe_sources = dp.edges().probe_sources;
+  }
+};
+
+/// "" when both engines' control planes hold the same FIBs, OSPF routes
+/// and distances, and BGP best routes; else the first that differs.
+std::string control_plane_mismatch(const EngineState& a,
+                                   const EngineState& b) {
+  if (a.fibs != b.fibs) return "FIBs";
+  for (topo::NodeId node = 0; node < a.ospf_routes.size(); ++node) {
+    const std::string& name = a.snapshot.topology.node_name(node);
+    if (a.ospf_routes[node] != b.ospf_routes.at(node)) {
+      return "OSPF routes at " + name;
+    }
+    if (a.distances[node] != b.distances.at(node)) {
+      return "distances from " + name;
+    }
+    if (a.bgp_best[node] != b.bgp_best.at(node)) return "BGP best at " + name;
+  }
+  return "";
+}
+
+/// "" when the two states are equal; else the first layer that differs.
+std::string state_mismatch(const EngineState& a, const EngineState& b) {
+  if (!(a.snapshot == b.snapshot)) return "snapshot";
+  if (std::string cp = control_plane_mismatch(a, b); !cp.empty()) return cp;
+  if (a.ranges.size() != b.ranges.size()) {
+    return std::to_string(a.ranges.size()) + " ECs became " +
+           std::to_string(b.ranges.size());
+  }
+  for (dp::EcId ec = 0; ec < a.ranges.size(); ++ec) {
+    const std::string id = "EC " + std::to_string(ec);
+    if (a.ranges[ec] != b.ranges[ec]) return id + "'s range";
+    if (!(a.graphs[ec] == b.graphs[ec])) return id + "'s graph";
+    if (!(a.reaches[ec] == b.reaches[ec])) return id + "'s reach";
+  }
+  if (a.links_enabled != b.links_enabled) return "enabled links";
+  if (a.acls != b.acls) return "bound ACLs";
+  if (a.probe_sources != b.probe_sources) return "probe sources";
+  return "";
+}
+
+/// A structural change of `snap`: a node appended, a link added, or one
+/// removed.
+Snapshot structural_edit(const Snapshot& snap, Rng& rng, std::string& what) {
+  const topo::Topology& topology = snap.topology;
+  const std::string& first = topology.node_name(0);
+  switch (rng.below(3)) {
+    case 0:
+      what = "append a node";
+      return with_node_at_end(snap, "new", first,
+                              Ipv4Prefix(Ipv4Addr(172, 31, 99, 0), 24));
+    case 1:
+      what = "add a link";
+      return with_new_link(snap, first,
+                           topology.node_name(static_cast<topo::NodeId>(
+                               topology.num_nodes() - 1)));
+    default: {
+      const auto index =
+          static_cast<uint32_t>(rng.below(topology.num_links()));
+      what = "remove link " + std::to_string(index);
+      return without_link(snap, index);
+    }
+  }
+}
+
+class PreviewRollback : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(PreviewRollback, EngineStateIsUnchanged) {
+  const std::string which = GetParam().topology;
+  const uint64_t seed = GetParam().seed;
+  Snapshot base;
+  if (which == "ring") base = topo::make_ring(6);
+  if (which == "grid") base = topo::make_grid(3, 3);
+  if (which == "fattree") base = topo::make_fattree(4);
+  if (which == "two_tier") base = topo::make_two_tier_as(3, 2);
+  if (seed % 2 == 1) {
+    // Static routes feed OSPF or BGP, not only the FIB.
+    for (config::NodeConfig& cfg : base.configs) {
+      cfg.ospf.redistribute_static = cfg.ospf.enabled;
+      cfg.bgp.redistribute_static = cfg.bgp.enabled;
+    }
+  }
+  const std::vector<Invariant> invariants = churn_invariants(base);
+  DnaEngine engine(base);
+  DnaEngine reference(base);  // commits monolithically
+  for (const Invariant& invariant : invariants) {
+    engine.add_invariant(invariant);
+    reference.add_invariant(invariant);
+  }
+
+  Rng rng(0x7E11 + seed);
+  Snapshot snap = base;
+  for (int step = 0; step < 40; ++step) {
+    std::string what;
+    // Structural targets are previewed only. Otherwise: commit, preview in
+    // either mode, or preview and then commit the same target.
+    const bool structural = rng.below(8) == 0;
+    Snapshot next = structural ? structural_edit(snap, rng, what)
+                               : fib_edit(base, snap, rng, what);
+    const uint64_t kind = structural ? 1 + rng.below(2) : rng.below(4);
+    const std::string context = "step " + std::to_string(step) + ": " + what;
+    if (kind != 0) {
+      const Mode mode = kind == 2 ? Mode::kMonolithic : Mode::kDifferential;
+      const EngineState before(engine);
+      engine.preview(next, mode);
+      ASSERT_EQ(state_mismatch(before, EngineState(engine)), "")
+          << context << (mode == Mode::kMonolithic ? ", monolithic" : "");
+    }
+    if (kind == 0 || kind == 3) {
+      expect_same_semantic_diff(engine.advance(next, Mode::kDifferential),
+                                reference.advance(next, Mode::kMonolithic),
+                                "commit " + context);
+      ASSERT_FALSE(HasFailure());
+      ASSERT_EQ(control_plane_mismatch(EngineState(engine),
+                                       EngineState(reference)),
+                "")
+          << "commit " << context;
+      snap = std::move(next);
+    }
+  }
+
+  // Kept verdicts: one monolithic advance's flips against a fresh engine's.
+  // A stale kept verdict shows as a flip the fresh engine does not report.
+  DnaEngine fresh(snap);
+  for (const Invariant& invariant : invariants) fresh.add_invariant(invariant);
+  EXPECT_EQ(engine.advance(snap, Mode::kMonolithic).invariant_flips,
+            fresh.advance(snap, Mode::kMonolithic).invariant_flips);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PreviewRollback,
+                         ::testing::ValuesIn(fib_oracle_cases()),
+                         ::testing::PrintToStringParamName());
+
+/// The entries that differ between two states of one engine, as a
+/// rollback counts them: FIB entries (as delta lines), OSPF routes and
+/// distances, BGP best routes, atoms split off, and the graph rows,
+/// delivered rows and flag pairs of the ECs both states hold.
+size_t entries_between(const EngineState& a, const EngineState& b) {
+  size_t entries = cp::diff_fibs(a.fibs, b.fibs).total_changes() +
+                   std::max(a.graphs.size(), b.graphs.size()) -
+                   std::min(a.graphs.size(), b.graphs.size());
+  auto map_changes = [](const auto& x, const auto& y) {
+    size_t changes = 0;
+    for (const auto& [key, value] : x) {
+      const auto it = y.find(key);
+      changes += it == y.end() || !(it->second == value);
+    }
+    for (const auto& [key, value] : y) changes += !x.count(key);
+    return changes;
+  };
+  for (topo::NodeId node = 0; node < a.ospf_routes.size(); ++node) {
+    entries += map_changes(a.ospf_routes[node], b.ospf_routes[node]) +
+               map_changes(a.bgp_best[node], b.bgp_best[node]);
+    for (topo::NodeId to = 0; to < a.distances[node].size(); ++to) {
+      entries += a.distances[node][to] != b.distances[node][to];
+    }
+  }
+  for (dp::EcId ec = 0; ec < std::min(a.graphs.size(), b.graphs.size());
+       ++ec) {
+    for (topo::NodeId node = 0; node < a.graphs[ec].verdicts.size();
+         ++node) {
+      entries += !(a.graphs[ec].verdicts[node] == b.graphs[ec].verdicts[node]);
+      entries += a.reaches[ec].delivered[node] != b.reaches[ec].delivered[node];
+    }
+    entries += a.reaches[ec].loop != b.reaches[ec].loop ||
+               a.reaches[ec].blackhole != b.reaches[ec].blackhole;
+  }
+  return entries;
+}
+
+TEST(DnaEngine, RollbackWritesBackWhatTheForwardChanged) {
+  // Failing fattree:6 link 0 changes 1,065 entries: 244 graph rows, 35
+  // reach rows, 256 OSPF routes, 18 distances and 512 FIB delta lines. A
+  // static route changes one FIB entry and splits off two atoms. The
+  // rollback writes each back once, and the FIB delta once more for the
+  // LPM tables. The bounds are the counts measured when the rollback
+  // landed, and ratchets: lower them when the work falls, never raise them.
+  constexpr size_t kMaxFailureEntries = 1579;
+  constexpr size_t kMaxStaticEntries = 4;
+  const Snapshot base = topo::make_fattree(6);
+  DnaEngine engine(base);
+  const EngineState before(engine);
+  const topo::Link& link = base.topology.link(0);
+  const Snapshot static_route = topo::with_static_route(
+      base, base.topology.node_name(link.a),
+      Ipv4Prefix(Ipv4Addr(198, 18, 0, 0), 24),
+      base.configs[link.b].find_interface(link.b_if)->address);
+  for (const Snapshot& target :
+       {topo::with_link_state(base, 0, false), static_route}) {
+    const bool failure = &target != &static_route;
+    DnaEngine advanced(base);
+    advanced.advance(target, Mode::kDifferential);
+    const size_t changed = entries_between(before, EngineState(advanced));
+    engine.preview(target, Mode::kDifferential);
+    const size_t written = engine.last_rollback_entries();
+    const std::string context = failure ? "link failure" : "static route";
+    EXPECT_GE(written, changed) << context;
+    EXPECT_LE(written, 2 * changed) << context;
+    EXPECT_LE(written, failure ? kMaxFailureEntries : kMaxStaticEntries)
+        << context;
+  }
+}
+
+TEST(DnaEngine, PreviewsLeaveNoAtomsBehind) {
+  // Each preview of a fresh static /24 splits atoms, and its rollback
+  // merges them back. When a preview advanced back to base instead, these
+  // previews took fattree:6 from 175 ECs to 1,174.
+  const Snapshot base = topo::make_fattree(6);
+  DnaEngine engine(base);
+  const size_t ecs = engine.verifier().num_ecs();
+  const topo::Link& link = base.topology.link(0);
+  const std::string& near = base.topology.node_name(link.a);
+  const Ipv4Addr via = base.configs[link.b].find_interface(link.b_if)->address;
+  for (int i = 0; i < 1000; ++i) {
+    const Ipv4Prefix prefix(Ipv4Addr(10, static_cast<uint8_t>(200 + i / 250),
+                                     static_cast<uint8_t>(i % 250), 0),
+                            24);
+    const NetworkDiff diff = engine.preview(
+        topo::with_static_route(base, near, prefix, via), Mode::kDifferential);
+    ASSERT_GT(diff.total_ecs, ecs) << prefix.str();
+    ASSERT_EQ(engine.verifier().num_ecs(), ecs) << prefix.str();
+  }
+}
 
 }  // namespace
 }  // namespace dna::core

@@ -253,27 +253,43 @@ TEST(ScenarioRunner, FailingPlanDoesNotPoisonTheBatch) {
   std::vector<ScenarioSpec> specs = link_failure_sweep(base);
   const size_t good = specs.size();
 
-  core::ChangePlan bad("throws on apply");
-  bad.add([](topo::Snapshot) -> topo::Snapshot {
-    throw Error("deliberate failure");
-  });
-  // Front-load the failure so workers hit it before the healthy scenarios.
-  specs.emplace(specs.begin(), ScenarioSpec("bad plan", std::move(bad)));
+  auto bad = [] {
+    core::ChangePlan plan("throws on apply");
+    plan.add([](topo::Snapshot) -> topo::Snapshot {
+      throw Error("deliberate failure");
+    });
+    return plan;
+  };
+  // Front-load one failure so workers hit it before the healthy scenarios,
+  // and put another in the same chunk after a healthy one, when its worker
+  // already holds an engine.
+  specs.emplace(specs.begin(), ScenarioSpec("bad plan", bad()));
+  specs.emplace(specs.begin() + 2, ScenarioSpec("bad plan", bad()));
 
   ScenarioRunner runner(base, ring_invariants());
   ScenarioReport report = runner.run(specs, {.num_threads = 2});
 
-  ASSERT_EQ(report.results.size(), good + 1);
-  EXPECT_EQ(report.failures, 1u);
-  EXPECT_FALSE(report.results[0].ok);
-  EXPECT_NE(report.results[0].error.find("deliberate failure"),
-            std::string::npos);
-  for (size_t i = 1; i < report.results.size(); ++i) {
-    EXPECT_TRUE(report.results[i].ok) << report.results[i].error;
+  ASSERT_EQ(report.results.size(), good + 2);
+  EXPECT_EQ(report.failures, 2u);
+  for (size_t i = 0; i < report.results.size(); ++i) {
+    const ScenarioResult& result = report.results[i];
+    if (i == 0 || i == 2) {
+      EXPECT_FALSE(result.ok) << i;
+      EXPECT_NE(result.error.find("deliberate failure"), std::string::npos);
+    } else {
+      EXPECT_TRUE(result.ok) << result.error;
+    }
   }
-  // Failures rank last and are reported.
-  EXPECT_EQ(report.ranking.back(), 0u);
+  // Failures rank last, in input order, and are reported.
+  ASSERT_GE(report.ranking.size(), 2u);
+  EXPECT_EQ(report.ranking[report.ranking.size() - 2], 0u);
+  EXPECT_EQ(report.ranking.back(), 2u);
   EXPECT_NE(report.str().find("FAILED bad plan"), std::string::npos);
+  // A plan that throws on apply never reaches an engine, so no worker
+  // rebuilt one.
+  for (const WorkerTiming& timing : report.worker_timings) {
+    EXPECT_LE(timing.clones, 1u) << "worker " << timing.worker;
+  }
 }
 
 TEST(ScenarioRunner, RankingPutsIntentBreakageFirst) {
