@@ -156,22 +156,17 @@ bool OspfModel::compute_route(topo::NodeId src, const Ipv4Prefix& prefix,
 
   if (!have_route) {
     if (existing == table.end()) return false;
-    if (log) {
-      log->routes.push_back(
-          {src, prefix, std::move(existing->second), std::nullopt});
-    }
+    if (log) log->routes.push_back({src, prefix, std::move(existing->second)});
     table.erase(existing);
     return true;
   }
   if (existing == table.end()) {
-    const auto at = table.emplace(prefix, std::move(next)).first;
-    if (log) log->routes.push_back({src, prefix, std::nullopt, at});
+    table.emplace(prefix, std::move(next));
+    if (log) log->routes.push_back({src, prefix, std::nullopt});
     return true;
   }
   if (existing->second == next) return false;
-  if (log) {
-    log->routes.push_back({src, prefix, std::move(existing->second), existing});
-  }
+  if (log) log->routes.push_back({src, prefix, std::move(existing->second)});
   existing->second = std::move(next);
   return true;
 }
@@ -307,12 +302,11 @@ std::vector<RouteKey> OspfModel::update(const topo::Snapshot& snapshot,
 
 size_t OspfModel::rollback(UndoLog&& log) {
   for (auto it = log.routes.rbegin(); it != log.routes.rend(); ++it) {
-    if (!it->route) {
-      routes_[it->src].erase(*it->at);
-    } else if (it->at) {
-      (*it->at)->second = std::move(*it->route);
+    auto& table = routes_[it->src];
+    if (it->route) {
+      table.insert_or_assign(it->prefix, std::move(*it->route));
     } else {
-      routes_[it->src].emplace(it->prefix, std::move(*it->route));
+      table.erase(it->prefix);
     }
   }
   for (auto it = log.dists.rbegin(); it != log.dists.rend(); ++it) {

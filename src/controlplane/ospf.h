@@ -63,13 +63,11 @@ class OspfModel {
     std::optional<Advertisers> advertisers;  // the old map, if replaced
     std::vector<DistWrite> dists;
     /// A route as it was before compute_route replaced or erased it; none
-    /// if it was absent. `at` is its entry in the source's table, if the
-    /// update kept one; an update writes each route at most once.
+    /// if it was absent.
     struct RouteWrite {
       topo::NodeId src;
       Ipv4Prefix prefix;
       std::optional<OspfRoute> route;
-      std::optional<std::map<Ipv4Prefix, OspfRoute>::iterator> at;
     };
     std::vector<RouteWrite> routes;
   };

@@ -11,13 +11,7 @@ void LpmTable::rebuild(const cp::Fib& fib) {
 
 void LpmTable::replace(const std::vector<cp::FibEntry>& gone,
                        const std::vector<cp::FibEntry>& come) {
-  auto next = come.begin();
-  for (const cp::FibEntry& entry : gone) {
-    while (next != come.end() && next->prefix < entry.prefix) ++next;
-    if (next == come.end() || next->prefix != entry.prefix) {
-      remove(entry.prefix);
-    }
-  }
+  for (const cp::FibEntry& entry : gone) remove(entry.prefix);
   for (const cp::FibEntry& entry : come) add(entry);
 }
 

@@ -17,9 +17,8 @@ class LpmTable {
 
   void rebuild(const cp::Fib& fib);
 
-  /// Applies a FIB delta, both of whose lists are sorted by prefix: its
-  /// removed entries go, and its added ones come (a changed entry appears in
-  /// both, and is overwritten in place).
+  /// Applies a FIB delta: its removed entries go, then its added ones come
+  /// (a changed entry appears in both).
   void patch(const cp::NodeFibDelta& delta) {
     replace(delta.removed, delta.added);
   }
@@ -36,7 +35,7 @@ class LpmTable {
  private:
   void add(const cp::FibEntry& entry);
   void remove(const Ipv4Prefix& prefix);
-  /// Removes the prefixes of `gone` that `come` lacks, then adds `come`.
+  /// Removes the prefixes of `gone`, then adds `come`.
   void replace(const std::vector<cp::FibEntry>& gone,
                const std::vector<cp::FibEntry>& come);
 

@@ -385,7 +385,7 @@ ReachDelta Verifier::apply(
         if (row_log) {
           // Leaves an empty row, which compute_reach re-sizes.
           row_log->reach_rows.push_back(
-              {ec, src, std::exchange(old_reach.delivered[src], {})});
+              {ec, src, std::move(old_reach.delivered[src])});
         }
       }
       const bool loop_before = old_reach.loop.test(src);
@@ -405,8 +405,8 @@ ReachDelta Verifier::apply(
     }
     if (row_log && (old_reach.loop != now.loop ||
                     old_reach.blackhole != now.blackhole)) {
-      row_log->flags.push_back({ec, std::exchange(old_reach.loop, {}),
-                                std::exchange(old_reach.blackhole, {})});
+      row_log->flags.push_back(
+          {ec, std::move(old_reach.loop), std::move(old_reach.blackhole)});
     }
   }
   if (log) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -18,6 +19,17 @@ class DynamicBitset {
   DynamicBitset() = default;
   explicit DynamicBitset(size_t size)
       : size_(size), words_((size + 63) / 64, 0) {}
+  DynamicBitset(const DynamicBitset&) = default;
+  DynamicBitset& operator=(const DynamicBitset&) = default;
+  // A moved-from bitset is empty (size 0), so its bounds checks still hold.
+  DynamicBitset(DynamicBitset&& other) noexcept
+      : size_(std::exchange(other.size_, 0)),
+        words_(std::exchange(other.words_, {})) {}
+  DynamicBitset& operator=(DynamicBitset&& other) noexcept {
+    size_ = std::exchange(other.size_, 0);
+    words_ = std::exchange(other.words_, {});
+    return *this;
+  }
 
   size_t size() const { return size_; }
 

@@ -346,10 +346,11 @@ TEST(DnaEngine, InterfaceEditReverifiesEveryEcOnlyWhenTheDataPlaneReadsIt) {
   const auto [shut, shut_total] =
       affected(topo::with_interface_enabled(base, "r2", "eth0", false));
   EXPECT_EQ(shut, shut_total);
-  EXPECT_LT(affected(topo::with_link_cost(base, 2, 99)).first, all);
-  EXPECT_LT(affected(topo::with_interface_enabled(base, "r0", "host0", false))
-                .first,
-            all);
+  const auto [cost, cost_total] = affected(topo::with_link_cost(base, 2, 99));
+  EXPECT_LT(cost, cost_total);
+  const auto [host, host_total] =
+      affected(topo::with_interface_enabled(base, "r0", "host0", false));
+  EXPECT_LT(host, host_total);
 }
 
 TEST(DnaEngine, ProbeSourceMoveReverifiesEveryEcWhenAnAclIsBound) {

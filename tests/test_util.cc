@@ -3,6 +3,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/bitset.h"
 #include "util/flat_map.h"
@@ -159,6 +160,26 @@ TEST(Bitset, SetResetTestCount) {
   bits.reset(64);
   EXPECT_FALSE(bits.test(64));
   EXPECT_EQ(bits.count(), 2u);
+}
+
+TEST(Bitset, MovedFromIsEmpty) {
+  // A moved-from bitset keeps no size its storage lacks, so its bounds
+  // checks still catch an index into it.
+  DynamicBitset a(130);
+  a.set(70);
+  DynamicBitset b = std::move(a);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_THROW(a.set(70), InternalError);
+  EXPECT_TRUE(b.test(70));
+  DynamicBitset c(10);
+  c = std::move(b);
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_THROW((void)b.test(70), InternalError);
+  EXPECT_EQ(c.size(), 130u);
+  EXPECT_TRUE(c.test(70));
+  b = DynamicBitset(5);
+  b.set(4);
+  EXPECT_EQ(b.count(), 1u);
 }
 
 TEST(Bitset, MinusAndIndices) {
